@@ -14,6 +14,8 @@ import (
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
 	"srcsim/internal/harness"
+	"srcsim/internal/nvme"
+	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
 )
 
@@ -98,6 +100,23 @@ func BenchmarkFig5WeightSweep(b *testing.B) {
 		hw.sample(b)
 	}
 	hw.report(b)
+}
+
+// BenchmarkDeviceSetup measures what every simulated target pays before
+// its first event: building a target-array SSD-A and preconditioning a
+// 2 GiB footprint. Setup must cost the state a run touches, not the
+// device's capacity, so a return to eager CMT or block-metadata setup
+// shows up here as B/op and allocs/op.
+func BenchmarkDeviceSetup(b *testing.B) {
+	cfg := harness.TargetArrayConfig(ssd.ConfigA())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dev, err := ssd.New(sim.NewEngine(), cfg, nvme.NewSSQ(1, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		dev.Precondition(2 << 30)
+	}
 }
 
 // BenchmarkTableIRegressors regenerates the five-regressor accuracy

@@ -5,9 +5,12 @@
 //
 //	go test -run '^$' -bench . -benchmem . | benchjson parse > BENCH_1.json
 //	benchjson compare BENCH_0.json BENCH_1.json
+//	benchjson compare -allocs-only BENCH_1.json BENCH_2.json
 //
 // compare exits non-zero when any gated benchmark regresses beyond the
-// thresholds (ns/op or allocs/op), so CI can consume it directly.
+// thresholds (ns/op or allocs/op), so CI can consume it directly. With
+// -allocs-only only allocs/op is gated and ns/op is printed as advice:
+// allocation counts carry across machines, timings do not.
 package main
 
 import (
@@ -54,10 +57,15 @@ func main() {
 			fatal(err)
 		}
 	case "compare":
-		if len(os.Args) != 4 {
+		args := os.Args[2:]
+		allocsOnly := len(args) > 0 && args[0] == "-allocs-only"
+		if allocsOnly {
+			args = args[1:]
+		}
+		if len(args) != 2 {
 			usage()
 		}
-		ok, err := compare(os.Args[2], os.Args[3], os.Stdout)
+		ok, err := compare(args[0], args[1], allocsOnly, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
@@ -71,7 +79,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: benchjson parse < bench-output > BENCH_n.json")
-	fmt.Fprintln(os.Stderr, "       benchjson compare BENCH_0.json BENCH_n.json")
+	fmt.Fprintln(os.Stderr, "       benchjson compare [-allocs-only] BENCH_m.json BENCH_n.json")
 	os.Exit(2)
 }
 
@@ -149,10 +157,12 @@ func parse(in *os.File, out *os.File) error {
 }
 
 // gates are the regression thresholds per benchmark: the hot-path
-// experiments that the event-engine optimization must keep fast.
+// experiments that the event-engine optimization must keep fast, and
+// device setup, which must stay proportional to the state a run touches.
 var gates = map[string]struct{ maxNsGrowth, maxAllocGrowth float64 }{
 	"BenchmarkFig7Throughput":  {maxNsGrowth: 0.30, maxAllocGrowth: 0.20},
 	"BenchmarkFig5WeightSweep": {maxNsGrowth: 0.30, maxAllocGrowth: 0.20},
+	"BenchmarkDeviceSetup":     {maxNsGrowth: 0.30, maxAllocGrowth: 0.20},
 }
 
 func load(path string) (*File, error) {
@@ -172,8 +182,8 @@ func load(path string) (*File, error) {
 
 // compare prints a delta table for every benchmark present in both
 // files and returns false when a gated benchmark regresses beyond its
-// thresholds.
-func compare(basePath, newPath string, out *os.File) (bool, error) {
+// thresholds; allocsOnly leaves ns/op ungated.
+func compare(basePath, newPath string, allocsOnly bool, out *os.File) (bool, error) {
 	base, err := load(basePath)
 	if err != nil {
 		return false, err
@@ -208,7 +218,7 @@ func compare(basePath, newPath string, out *os.File) (bool, error) {
 		if !gated {
 			continue
 		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+g.maxNsGrowth) {
+		if !allocsOnly && b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+g.maxNsGrowth) {
 			fmt.Fprintf(out, "FAIL %s: ns/op %.0f exceeds baseline %.0f by more than %.0f%%\n",
 				name, c.NsPerOp, b.NsPerOp, g.maxNsGrowth*100)
 			ok = false

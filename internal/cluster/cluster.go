@@ -501,11 +501,6 @@ func (c *Cluster) feedTelemetry(t int, req trace.Request, at sim.Time) {
 	c.Targets[t].Ctl.Monitor.Record(req, at)
 }
 
-// feedRate routes one demanded-rate event to target t's SRC controller
-// (in-band when the plane is enabled, direct otherwise). Rate events are
-// deliberately not gated by telemetryStalled, matching the historical
-// direct wiring: a stalled monitor feed still hears rate changes and
-// degrades via staleness, not silence.
 // activeCtl returns target t's currently live controller: the plane's
 // active incarnation when the control plane is on (nil while the
 // controller process is down), the fixed direct controller otherwise.
@@ -516,6 +511,11 @@ func (c *Cluster) activeCtl(t int) *core.Controller {
 	return c.Targets[t].Ctl
 }
 
+// feedRate routes one demanded-rate event to target t's SRC controller
+// (in-band when the plane is enabled, direct otherwise). Rate events are
+// deliberately not gated by telemetryStalled, matching the historical
+// direct wiring: a stalled monitor feed still hears rate changes and
+// degrades via staleness, not silence.
 func (c *Cluster) feedRate(t int, rate float64) {
 	if c.plane != nil {
 		c.plane.Publisher(t).RateEvent(rate)

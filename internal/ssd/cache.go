@@ -8,12 +8,24 @@ package ssd
 // every mapping lookup, so the cache must be invisible to the garbage
 // collector (a pointer-linked list this size makes every GC scan walk
 // the whole table).
+//
+// Preloading (see preload) is lazy: the preloaded keys [lo, hi) are the
+// oldest LRU segment in key order, so they are kept as a range rather
+// than as nodes. A key in [lo, hi) without an entry is resident and
+// older than every list node (lower keys older still); touching it
+// materialises a node. Evictions take the lowest untouched key while any
+// remain, so hits, misses and Len are exactly those of the eager LRU.
 type lruCache struct {
 	capacity int
-	entries  map[uint64]int32 // key -> arena index
+	entries  map[uint64]int32 // key -> arena index, touched keys only
 	arena    []lruNode
 	head     int32 // most recent, -1 when empty
 	tail     int32 // least recent, -1 when empty
+
+	// lo, hi bound the preloaded segment; lazy counts its keys that are
+	// still untouched (resident without a node). lazy == 0 means lo == hi.
+	lo, hi uint64
+	lazy   int
 
 	Hits, Misses uint64
 }
@@ -29,10 +41,28 @@ func newLRUCache(capacity int) *lruCache {
 	}
 	return &lruCache{
 		capacity: capacity,
-		entries:  make(map[uint64]int32, capacity),
+		entries:  make(map[uint64]int32),
 		head:     -1,
 		tail:     -1,
 	}
+}
+
+// preload makes keys 0..n-1 resident (clipped to capacity) as if each
+// had been accessed in ascending order, then zeroes the hit and miss
+// counters. On an empty cache this is O(1); otherwise it replays the
+// accesses.
+func (c *lruCache) preload(n uint64) {
+	if n > uint64(c.capacity) {
+		n = uint64(c.capacity)
+	}
+	if c.Len() == 0 {
+		c.lo, c.hi, c.lazy = 0, n, int(n)
+	} else {
+		for key := uint64(0); key < n; key++ {
+			c.Access(key)
+		}
+	}
+	c.Hits, c.Misses = 0, 0
 }
 
 // Access touches key and reports whether it was resident. On a miss the
@@ -45,24 +75,55 @@ func (c *lruCache) Access(key uint64) (hit bool) {
 		c.moveToFront(i)
 		return true
 	}
+	if key >= c.lo && key < c.hi {
+		// Untouched preloaded key: resident, so a hit.
+		c.Hits++
+		c.dropLazy()
+		c.insert(key)
+		return true
+	}
 	c.Misses++
-	var i int32
-	if len(c.arena) >= c.capacity {
-		i = c.tail
+	switch {
+	case c.Len() < c.capacity:
+	case c.lazy > 0:
+		// Evict the oldest resident key: the lowest untouched one.
+		for _, touched := c.entries[c.lo]; touched; _, touched = c.entries[c.lo] {
+			c.lo++
+		}
+		c.lo++
+		c.dropLazy()
+	default:
+		i := c.tail
 		c.unlink(i)
 		delete(c.entries, c.arena[i].key)
 		c.arena[i].key = key
-	} else {
-		i = int32(len(c.arena))
-		c.arena = append(c.arena, lruNode{key: key})
+		c.entries[key] = i
+		c.pushFront(i)
+		return false
 	}
-	c.entries[key] = i
-	c.pushFront(i)
+	c.insert(key)
 	return false
 }
 
+// insert adds key as the most recent node; the arena has room for it.
+func (c *lruCache) insert(key uint64) {
+	i := int32(len(c.arena))
+	c.arena = append(c.arena, lruNode{key: key})
+	c.entries[key] = i
+	c.pushFront(i)
+}
+
+// dropLazy retires one untouched preloaded key, collapsing the segment
+// once none remain so that touched-then-evicted keys read as misses.
+func (c *lruCache) dropLazy() {
+	c.lazy--
+	if c.lazy == 0 {
+		c.lo, c.hi = 0, 0
+	}
+}
+
 // Len returns the resident entry count.
-func (c *lruCache) Len() int { return len(c.entries) }
+func (c *lruCache) Len() int { return len(c.entries) + c.lazy }
 
 // HitRate returns hits / (hits+misses), or 0 before any access.
 func (c *lruCache) HitRate() float64 {

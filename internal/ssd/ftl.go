@@ -8,7 +8,9 @@ type pageLoc struct {
 	page  int32
 }
 
-// blockMeta tracks one erase block's programmed pages and validity.
+// blockMeta tracks one erase block's programmed pages and validity. The
+// per-page slices are allocated when the block is first written and kept
+// across erases, so a die costs memory only for the blocks a run uses.
 type blockMeta struct {
 	lpns       []uint64
 	valid      []bool
@@ -56,14 +58,11 @@ func newDie(index int, res, channel *resource, blocksPerDie, pagesPerBlock int, 
 		channel:       channel,
 		pagesPerBlock: pagesPerBlock,
 		blocks:        make([]blockMeta, blocksPerDie),
+		freeBlocks:    make([]int, 0, blocksPerDie),
 		totalPages:    blocksPerDie * pagesPerBlock,
 		freePages:     blocksPerDie * pagesPerBlock,
 		gcThreshold:   gcThreshold,
 		mapping:       make(map[uint64]pageLoc),
-	}
-	for i := range d.blocks {
-		d.blocks[i].lpns = make([]uint64, pagesPerBlock)
-		d.blocks[i].valid = make([]bool, pagesPerBlock)
 	}
 	// Block 0 starts active; the rest are free.
 	d.active = 0
@@ -85,6 +84,10 @@ func (d *die) allocate(lpn uint64) bool {
 		d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
 	}
 	blk := &d.blocks[d.active]
+	if blk.lpns == nil {
+		blk.lpns = make([]uint64, d.pagesPerBlock)
+		blk.valid = make([]bool, d.pagesPerBlock)
+	}
 	p := blk.writePtr
 	blk.writePtr++
 	blk.lpns[p] = lpn
@@ -146,7 +149,9 @@ func (d *die) stillIn(lpn uint64, block int) bool {
 	return ok && int(loc.block) == block
 }
 
-// finishErase recycles a block after its erase completes.
+// finishErase recycles a block after its erase completes. Its page
+// slices are kept for reuse; with validCount zero every valid flag is
+// already false.
 func (d *die) finishErase(block int) {
 	b := &d.blocks[block]
 	if b.validCount != 0 {
@@ -154,9 +159,6 @@ func (d *die) finishErase(block int) {
 	}
 	d.freePages += b.writePtr
 	b.writePtr = 0
-	for p := range b.valid {
-		b.valid[p] = false
-	}
 	d.freeBlocks = append(d.freeBlocks, block)
 	d.GCErases++
 }

@@ -305,16 +305,42 @@ func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 		t.Fatalf("free pages %d out of range", die.freePages)
 	}
 	// All 16 live LPNs must still map somewhere valid.
-	if len(die.mapping) != 16 {
-		t.Fatalf("mapping size %d, want 16", len(die.mapping))
+	checkMapping := func() {
+		t.Helper()
+		if len(die.mapping) != 16 {
+			t.Fatalf("mapping size %d, want 16", len(die.mapping))
+		}
+		for lpn, loc := range die.mapping {
+			if !die.blocks[loc.block].valid[loc.page] {
+				t.Fatalf("lpn %d maps to invalid page", lpn)
+			}
+			if die.blocks[loc.block].lpns[loc.page] != lpn {
+				t.Fatalf("reverse map mismatch for lpn %d", lpn)
+			}
+		}
 	}
-	for lpn, loc := range die.mapping {
-		if !die.blocks[loc.block].valid[loc.page] {
-			t.Fatalf("lpn %d maps to invalid page", lpn)
+	checkMapping()
+
+	// The next block to open was erased by GC and kept its page slices;
+	// reopening it must start from clean validity.
+	recycled := die.freeBlocks[len(die.freeBlocks)-1]
+	if die.blocks[recycled].lpns == nil {
+		t.Fatalf("next free block %d was never written", recycled)
+	}
+	for lpn := uint64(0); die.active != recycled || die.blocks[recycled].writePtr < 4; lpn++ {
+		if !die.allocate(lpn % 16) {
+			t.Fatal("no free page before the recycled block opened")
 		}
-		if die.blocks[loc.block].lpns[loc.page] != lpn {
-			t.Fatalf("reverse map mismatch for lpn %d", lpn)
+	}
+	checkMapping()
+	blk := &die.blocks[recycled]
+	for p := range blk.valid {
+		if written := p < blk.writePtr; blk.valid[p] != written {
+			t.Fatalf("recycled block %d page %d: valid %v with writePtr %d", recycled, p, blk.valid[p], blk.writePtr)
 		}
+	}
+	if vs := dev.AuditInvariants(); len(vs) > 0 {
+		t.Fatalf("audit after reopening a recycled block: %v", vs)
 	}
 }
 
