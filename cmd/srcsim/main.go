@@ -8,21 +8,32 @@
 //	srcsim -list                    (enumerate registered experiments)
 //	srcsim -list-cc                 (enumerate congestion-control schemes)
 //	srcsim -experiment fig7 [-requests 2000] [-seed 7] [-train 1500] [-cc hpcc]
+//	srcsim -experiment fig5 [-weights 1,2,3] [-count 500] [-ssd B]
+//	srcsim -experiment fig9 [-events 60:6,100:3] (trains its own SSD-B model)
+//	srcsim -experiment table1 | table3 [-traces 16] | importance
 //	srcsim -experiment cc-matrix    (CC scheme x SRC on/off retention matrix)
-//	srcsim -experiment table4 [-seconds 0.08]
-//	srcsim -experiment fig10 [-seconds 0.06]
-//	srcsim -experiment fig2
+//	srcsim -experiment clos-scale   (the paper's 256-host Clos fabric)
 //	srcsim -list-scenarios          (enumerate the composed scenario library)
 //	srcsim -scenario vdi-boot-storm (run a library scenario under both modes)
 //	srcsim -replay my.csv           (replay a tracegen CSV under both modes)
 //	srcsim -replay t.jsonl -format jsonl   (replay an open-format JSONL trace)
+//	srcsim -save-tpm tpm.bin        (write the congestion model for -tpm)
 //
-// Experiments that need a trained throughput-prediction model train one
-// lazily (or load -tpm); training results are reused across runs through
-// the content-addressed artifact cache (SRCSIM_TPM_CACHE=off disables,
-// SRCSIM_TPM_CACHE=<dir> relocates; default is <tmp>/srcsim-cache).
+// Every parameter an experiment declares (see -list) is a string flag
+// of the same name; an explicitly set flag overrides the chosen
+// experiment's default and is ignored by experiments that do not declare
+// it. -seed and -train also seed and size the shared congestion model.
+// -scenario X is shorthand for -experiment scenario -name X (or -file X
+// for a path), and -replay F for -experiment replay -file F. -json
+// prints the experiment's machine-readable data instead of its text.
 //
-// Observability (any experiment or replay):
+// Experiments that need the trained congestion throughput-prediction
+// model train it lazily (or load -tpm); training results are reused
+// across runs through the content-addressed artifact cache
+// (SRCSIM_TPM_CACHE=off disables, SRCSIM_TPM_CACHE=<dir> relocates;
+// default is <tmp>/srcsim-cache).
+//
+// Observability (any cluster experiment):
 //
 //	-metrics out.json         write a metrics-registry snapshot
 //	-trace out.trace.json     write a Chrome trace (chrome://tracing, Perfetto)
@@ -37,7 +48,7 @@
 //	-serve-grace 5s           keep the inspector up after the run (wall time)
 //	-progress 100ms           periodic status line on stderr (sim-time interval)
 //
-// Fault injection & adaptation (any experiment or replay):
+// Fault injection & adaptation (any cluster experiment):
 //
 //	-faults chaos.json        replay a deterministic fault schedule
 //	                          (see internal/faults and EXPERIMENTS.md)
@@ -46,7 +57,7 @@
 //	                          adapt-aging/adapt-phase/adapt-failover
 //	                          experiments arm their own tuning
 //
-// Run governance (any experiment or replay; see internal/guard):
+// Run governance (any cluster experiment; see internal/guard):
 //
 //	-audit=false              disable the conservation auditor
 //	-stall-horizon 200ms      arm the liveness watchdog (sim-time horizon)
@@ -69,9 +80,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -92,7 +105,6 @@ import (
 	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/scenario"
 	"srcsim/internal/sim"
-	"srcsim/internal/trace"
 )
 
 // Exit codes; keep in sync with the package comment and README.
@@ -106,7 +118,7 @@ const (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("srcsim: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
 // fail classifies err into an exit code, printing it (and, for a
@@ -130,61 +142,150 @@ func fail(err error) int {
 	return exitError
 }
 
-func run() int {
-	experiment := flag.String("experiment", "fig7", "registered experiment to run (see -list)")
-	list := flag.Bool("list", false, "list registered experiments with their parameters and exit")
-	listCC := flag.Bool("list-cc", false, "list registered congestion-control schemes and exit")
-	listScenarios := flag.Bool("list-scenarios", false, "list the built-in composed scenario library and exit")
-	scenarioName := flag.String("scenario", "", "run a library scenario by name, or a scenario spec by .json path (shorthand for -experiment scenario; see -list-scenarios)")
-	// requests/seconds/seed/cc reach experiments through the override
-	// overlay below (flag.Visit), not through direct reads.
-	flag.Int("requests", 2000, "write-request count for fig7/chaos-soak (reads get 2x)")
-	flag.Float64("seconds", 0.06, "trace length in seconds for fig10/table4")
-	seed := flag.Uint64("seed", 7, "workload seed")
-	trainCount := flag.Int("train", 1500, "per-direction request count for TPM training runs")
-	replayFile := flag.String("replay", "", "replay a trace CSV (from cmd/tracegen) on the Sec. IV-D testbed instead of a named experiment")
-	cc := flag.String("cc", "dcqcn", "congestion control: "+strings.Join(netsim.CCNames(), " | ")+" (see -list-cc)")
-	format := flag.String("format", "csv", "trace file format for -replay: csv (tracegen) | msr (MSR Cambridge / SNIA) | jsonl (open trace format)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON for -replay runs")
-	tpmPath := flag.String("tpm", "", "load a pre-trained TPM (from tpmtrain -save) instead of training")
-	faultsFile := flag.String("faults", "", "load a fault-injection schedule (JSON, see internal/faults) and replay it into every cluster run")
-	adapt := flag.Bool("adapt", false, "arm adaptive SRC (in-run TPM retraining + degradation ladder, default tuning) on every cluster run; the adapt-* experiments tune it themselves")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
-	recordOut := flag.String("record", "", "write the flight-recorder congestion timeline to this file (.csv long format, .jsonl columnar, anything else Chrome-trace counter JSON)")
-	recordInterval := flag.Duration("record-interval", 100*time.Microsecond, "flight-recorder sample period in sim time")
-	recordCap := flag.Int("record-cap", timeseries.DefaultCapacity, "flight-recorder ring capacity (max samples kept per series)")
-	serveAddr := flag.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress) on this address during the run, e.g. :8080")
-	serveGrace := flag.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the run finishes before exiting")
-	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr every interval of sim time (e.g. 100ms; 0 disables)")
-	audit := flag.Bool("audit", true, "run the conservation auditor on every cluster run (read-only; a violation fails the run)")
-	stallHorizon := flag.Duration("stall-horizon", 0, "arm the liveness watchdog: fail with a diagnostic dump if the oldest in-flight command exceeds this sim-time age with no progress (0 disables)")
-	maxWall := flag.Duration("max-wall", 0, "truncate the run gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
-	flag.Parse()
+// defineParamFlags adds one string flag per distinct registry parameter
+// name. seed and train are srcsim's own typed flags (they also seed the
+// congestion model); any other collision with a srcsim flag panics.
+func defineParamFlags(fs *flag.FlagSet) {
+	var names []string
+	help := map[string]string{}
+	users := map[string][]string{}
+	for _, e := range harness.Experiments() {
+		for _, p := range e.Params {
+			if _, ok := help[p.Name]; !ok {
+				names = append(names, p.Name)
+				help[p.Name] = p.Help
+			}
+			users[p.Name] = append(users[p.Name], e.Name)
+		}
+	}
+	for _, n := range names {
+		if n == "seed" || n == "train" {
+			continue
+		}
+		fs.String(n, "", fmt.Sprintf("%s [%s; defaults: -list]", help[n], strings.Join(users[n], ", ")))
+	}
+}
+
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("srcsim", flag.ContinueOnError)
+	experiment := fs.String("experiment", "fig7", "registered experiment to run (see -list)")
+	list := fs.Bool("list", false, "list registered experiments with their parameters and exit")
+	listCC := fs.Bool("list-cc", false, "list registered congestion-control schemes and exit")
+	listScenarios := fs.Bool("list-scenarios", false, "list the built-in composed scenario library and exit")
+	scenarioName := fs.String("scenario", "", "run a library scenario by name, or a scenario spec by .json path (shorthand for -experiment scenario; see -list-scenarios)")
+	replayFile := fs.String("replay", "", "replay a trace file on the Sec. IV-D testbed (shorthand for -experiment replay -file F)")
+	seed := fs.Uint64("seed", 7, "congestion-model training seed (trains with seed^0xbeef); also overrides the experiment's seed param when set")
+	trainCount := fs.Int("train", 1500, "per-direction request count for congestion-model training runs; also overrides the experiment's train param when set")
+	jsonOut := fs.Bool("json", false, "print the experiment's machine-readable data (JSON) instead of its text")
+	tpmPath := fs.String("tpm", "", "load a pre-trained congestion TPM (from -save-tpm) instead of training")
+	saveTPM := fs.String("save-tpm", "", "write the congestion TPM this invocation would use (cached or trained, or -tpm) to this path and exit")
+	faultsFile := fs.String("faults", "", "load a fault-injection schedule (JSON, see internal/faults) and replay it into every cluster run")
+	adapt := fs.Bool("adapt", false, "arm adaptive SRC (in-run TPM retraining + degradation ladder, default tuning) on every cluster run; the adapt-* experiments tune it themselves")
+	metricsOut := fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
+	recordOut := fs.String("record", "", "write the flight-recorder congestion timeline to this file (.csv long format, .jsonl columnar, anything else Chrome-trace counter JSON)")
+	recordInterval := fs.Duration("record-interval", 100*time.Microsecond, "flight-recorder sample period in sim time")
+	recordCap := fs.Int("record-cap", timeseries.DefaultCapacity, "flight-recorder ring capacity (max samples kept per series)")
+	serveAddr := fs.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress) on this address during the run, e.g. :8080")
+	serveGrace := fs.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the run finishes before exiting")
+	progressEvery := fs.Duration("progress", 0, "print a progress line to stderr every interval of sim time (e.g. 100ms; 0 disables)")
+	audit := fs.Bool("audit", true, "run the conservation auditor on every cluster run (read-only; a violation fails the run)")
+	stallHorizon := fs.Duration("stall-horizon", 0, "arm the liveness watchdog: fail with a diagnostic dump if the oldest in-flight command exceeds this sim-time age with no progress (0 disables)")
+	maxWall := fs.Duration("max-wall", 0, "truncate the run gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
+	defineParamFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK
+		}
+		return exitError
+	}
 
 	if *list {
-		harness.FprintExperiments(os.Stdout)
+		harness.FprintExperiments(stdout)
 		return exitOK
 	}
 	if *listCC {
-		netsim.FprintCCSchemes(os.Stdout)
+		netsim.FprintCCSchemes(stdout)
 		return exitOK
 	}
 	if *listScenarios {
 		for _, sc := range scenario.Library() {
-			fmt.Printf("%-22s %s\n", sc.Name, sc.Title)
+			fmt.Fprintf(stdout, "%-22s %s\n", sc.Name, sc.Title)
 		}
 		return exitOK
 	}
-	if *scenarioName != "" {
-		*experiment = "scenario"
+
+	// getTPM resolves the congestion model, lazily: -tpm loads a
+	// pre-trained file; otherwise training runs behind the
+	// content-addressed artifact cache, so repeated invocations with the
+	// same training inputs reuse the stored model.
+	getTPM := func(harness.TPMKind) (*core.TPM, error) {
+		if *tpmPath != "" {
+			f, err := os.Open(*tpmPath)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			fmt.Fprintf(os.Stderr, "loading TPM from %s\n", *tpmPath)
+			return core.LoadTPM(f)
+		}
+		start := time.Now()
+		fmt.Fprintf(os.Stderr, "training TPM (SSD-A target array)...\n")
+		tpm, hit, err := harness.TrainCongestionTPMCached(devrun.TPMCacheFromEnv(), *trainCount, *seed^0xbeef)
+		if err != nil {
+			return nil, err
+		}
+		if hit {
+			fmt.Fprintf(os.Stderr, "reused cached TPM (%s=off forces retraining)\n", devrun.TPMCacheEnv)
+		} else {
+			fmt.Fprintf(os.Stderr, "trained in %v\n", time.Since(start))
+		}
+		return tpm, nil
+	}
+	if *saveTPM != "" {
+		tpm, err := getTPM(harness.TPMCongestion)
+		if err != nil {
+			return fail(err)
+		}
+		if err := atomicio.WriteFile(*saveTPM, tpm.Save); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "saved TPM to %s\n", *saveTPM)
+		return exitOK
 	}
 
+	overrides := map[string]string{}
+	switch {
+	case *scenarioName != "":
+		*experiment = "scenario"
+		// A path selects a custom spec file; a bare word a library entry.
+		if strings.ContainsRune(*scenarioName, '/') || strings.HasSuffix(*scenarioName, ".json") {
+			overrides["file"] = *scenarioName
+		} else {
+			overrides["name"] = *scenarioName
+		}
+	case *replayFile != "":
+		*experiment = "replay"
+		overrides["file"] = *replayFile
+	}
 	// Fail on a bad -experiment now, before minutes of TPM training.
 	exp, ok := harness.LookupExperiment(*experiment)
-	if !ok && *replayFile == "" {
+	if !ok {
 		log.Printf("unknown experiment %q (registered: %s; run srcsim -list)",
 			*experiment, strings.Join(harness.ExperimentNames(), ", "))
+		return exitError
+	}
+	// Overlay explicitly set flags onto the experiment's declared
+	// defaults; flags the experiment does not declare are ignored, so
+	// e.g. -cc only affects experiments with a cc parameter.
+	fs.Visit(func(f *flag.Flag) {
+		if _, ok := exp.Param(f.Name); ok {
+			overrides[f.Name] = f.Value.String()
+		}
+	})
+	params, err := exp.Resolve(overrides)
+	if err != nil {
+		log.Print(err)
 		return exitError
 	}
 
@@ -195,11 +296,17 @@ func run() int {
 	stopper := guard.NewStopper()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		s := <-sigc
-		signal.Stop(sigc)
-		fmt.Fprintf(os.Stderr, "srcsim: %v: truncating run (again to kill)\n", s)
-		stopper.Stop(fmt.Sprintf("signal: %v", s))
+		select {
+		case s := <-sigc:
+			signal.Stop(sigc)
+			fmt.Fprintf(os.Stderr, "srcsim: %v: truncating run (again to kill)\n", s)
+			stopper.Stop(fmt.Sprintf("signal: %v", s))
+		case <-done:
+		}
 	}()
 	if *maxWall > 0 {
 		timer := time.AfterFunc(*maxWall, func() {
@@ -271,176 +378,60 @@ func run() int {
 		s.Guard.StallHorizon = sim.Time(*stallHorizon)
 		s.Guard.Stop = stopper
 	}
-	writeObs := func() error {
-		if reg != nil && *metricsOut != "" {
-			if err := atomicio.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
-				return err
-			}
-			snap := reg.Snapshot()
-			fmt.Fprintf(os.Stderr, "wrote %d metric series to %s\n", snap.NumSeries(), *metricsOut)
-		}
-		if tracer != nil {
-			if recorder != nil {
-				// Fold the congestion timeline into the same trace so the
-				// counter tracks render alongside the event spans.
-				recorder.EmitChromeCounters(tracer.Scope("recorder"))
-			}
-			if err := atomicio.WriteFile(*traceOut, tracer.WriteChromeTrace); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d trace events (%d dropped) to %s\n",
-				tracer.Len(), tracer.Dropped(), *traceOut)
-		}
-		if recorder != nil && *recordOut != "" {
-			write := recorder.WriteChromeTrace
-			switch {
-			case strings.HasSuffix(*recordOut, ".csv"):
-				write = recorder.WriteCSV
-			case strings.HasSuffix(*recordOut, ".jsonl"):
-				write = recorder.WriteJSONL
-			}
-			if err := atomicio.WriteFile(*recordOut, write); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote flight-recorder timeline (%d series) to %s\n",
-				len(recorder.Dump(1)), *recordOut)
-		}
-		return nil
-	}
-	// epilogue flushes artifacts and converts a stopper firing into the
-	// truncated exit code.
-	epilogue := func() int {
-		if err := writeObs(); err != nil {
-			return fail(err)
-		}
-		if stopper.Stopped() {
-			log.Printf("run truncated: %s", stopper.Reason())
-			return exitTruncated
-		}
-		return exitOK
-	}
-
-	// getTPM resolves the model an experiment declares, lazily: -tpm
-	// loads a pre-trained file; otherwise training runs behind the
-	// content-addressed artifact cache, so repeated invocations with the
-	// same training inputs reuse the stored model.
-	getTPM := func(kind harness.TPMKind) (*core.TPM, error) {
-		if *tpmPath != "" {
-			f, err := os.Open(*tpmPath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			tpm, err := core.LoadTPM(f)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "loaded TPM from %s\n", *tpmPath)
-			return tpm, nil
-		}
-		cacheDir := devrun.TPMCacheFromEnv()
-		start := time.Now()
-		var tpm *core.TPM
-		var hit bool
-		var err error
-		switch kind {
-		case harness.TPMFig9:
-			fmt.Fprintf(os.Stderr, "training TPM (Fig. 9 SSD-B array)...\n")
-			tpm, hit, err = devrun.TrainTPMCached(cacheDir, harness.Fig9Config(), *trainCount, *seed^0xbeef)
-		default:
-			fmt.Fprintf(os.Stderr, "training TPM (SSD-A target array)...\n")
-			tpm, hit, err = harness.TrainCongestionTPMCached(cacheDir, *trainCount, *seed^0xbeef)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			fmt.Fprintf(os.Stderr, "reused cached TPM (%s=off forces retraining)\n", devrun.TPMCacheEnv)
-		} else {
-			fmt.Fprintf(os.Stderr, "trained in %v\n", time.Since(start))
-		}
-		return tpm, nil
-	}
 	env := &harness.Env{TPM: getTPM, Mods: []func(*cluster.Spec){withObs}}
-
-	if *replayFile != "" {
-		ccAlg, err := harness.ParseCC(*cc)
-		if err != nil {
-			log.Print(err)
-			return exitError
-		}
-		f, err := os.Open(*replayFile)
-		if err != nil {
-			return fail(err)
-		}
-		var tr *trace.Trace
-		switch *format {
-		case "csv":
-			tr, err = trace.ReadCSV(f)
-		case "msr":
-			tr, err = trace.ReadMSR(f)
-		case "jsonl":
-			tr, err = trace.ReadJSONL(f)
-		default:
-			f.Close()
-			log.Printf("unknown trace format %q", *format)
-			return exitError
-		}
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		tpm, err := getTPM(harness.TPMCongestion)
-		if err != nil {
-			return fail(err)
-		}
-		spec := harness.CongestionSpec()
-		spec.Net.CC = ccAlg
-		base, src, err := cluster.CompareModes(spec, tpm, tr, nil, withObs)
-		if err != nil {
-			return fail(err)
-		}
-		if *jsonOut {
-			for _, r := range []*cluster.Result{base, src} {
-				if err := r.WriteJSON(os.Stdout); err != nil {
-					return fail(err)
-				}
-			}
-		} else {
-			harness.FprintReplay(os.Stdout, base, src)
-		}
-		return epilogue()
-	}
-
-	// Overlay explicitly set flags onto the experiment's declared
-	// defaults; flags the experiment does not declare are ignored, so
-	// e.g. -cc only affects experiments with a cc parameter.
-	overrides := map[string]string{}
-	if *scenarioName != "" {
-		// A path selects a custom spec file; a bare word a library entry.
-		if strings.ContainsRune(*scenarioName, '/') || strings.HasSuffix(*scenarioName, ".json") {
-			overrides["file"] = *scenarioName
-		} else {
-			overrides["name"] = *scenarioName
-		}
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "requests", "seconds", "seed", "cc":
-			if _, ok := exp.Param(f.Name); ok {
-				overrides[f.Name] = f.Value.String()
-			}
-		}
-	})
-	params, err := exp.Resolve(overrides)
-	if err != nil {
-		log.Print(err)
-		return exitError
-	}
 	out, err := exp.Run(env, params)
 	if err != nil {
 		return fail(err)
 	}
-	os.Stdout.WriteString(out.Text)
-	return epilogue()
+	if *jsonOut {
+		// The same bytes the sweep orchestrator stores per job.
+		b, err := json.Marshal(out.Data)
+		if err != nil {
+			return fail(err)
+		}
+		stdout.Write(append(b, '\n'))
+	} else {
+		io.WriteString(stdout, out.Text)
+	}
+
+	// Flush artifacts, then convert a stopper firing into the truncated
+	// exit code.
+	if reg != nil && *metricsOut != "" {
+		if err := atomicio.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
+			return fail(err)
+		}
+		snap := reg.Snapshot()
+		fmt.Fprintf(os.Stderr, "wrote %d metric series to %s\n", snap.NumSeries(), *metricsOut)
+	}
+	if tracer != nil {
+		if recorder != nil {
+			// Fold the congestion timeline into the same trace so the
+			// counter tracks render alongside the event spans.
+			recorder.EmitChromeCounters(tracer.Scope("recorder"))
+		}
+		if err := atomicio.WriteFile(*traceOut, tracer.WriteChromeTrace); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d trace events (%d dropped) to %s\n",
+			tracer.Len(), tracer.Dropped(), *traceOut)
+	}
+	if recorder != nil && *recordOut != "" {
+		write := recorder.WriteChromeTrace
+		switch {
+		case strings.HasSuffix(*recordOut, ".csv"):
+			write = recorder.WriteCSV
+		case strings.HasSuffix(*recordOut, ".jsonl"):
+			write = recorder.WriteJSONL
+		}
+		if err := atomicio.WriteFile(*recordOut, write); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote flight-recorder timeline (%d series) to %s\n",
+			len(recorder.Dump(1)), *recordOut)
+	}
+	if stopper.Stopped() {
+		log.Printf("run truncated: %s", stopper.Reason())
+		return exitTruncated
+	}
+	return exitOK
 }

@@ -19,8 +19,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/core"
@@ -248,19 +246,6 @@ func CtrlFailover(tpm *core.TPM, requests int, seed uint64, mods ...func(*cluste
 	}
 	if ores.AggregatedGbps > 0 {
 		out.RetainedPct = res.AggregatedGbps / ores.AggregatedGbps * 100
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated float list parameter.
-func parseFloats(name, s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("harness: param %s=%q: %w", name, s, err)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

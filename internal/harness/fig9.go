@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
@@ -42,6 +44,34 @@ func DefaultFig9Events() []RateEvent {
 		{At: 140 * sim.Millisecond, DemandGbps: 6},
 		{At: 180 * sim.Millisecond, DemandGbps: 10},
 	}
+}
+
+// parseEvents parses a comma-separated list of ms:Gbps congestion
+// events; an empty string yields nil (the paper's default schedule).
+func parseEvents(s string) ([]RateEvent, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []RateEvent
+	for _, part := range strings.Split(s, ",") {
+		msStr, gbpsStr, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("bad event %q (want ms:Gbps)", part)
+		}
+		ms, err := strconv.ParseFloat(msStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad event time %q: %v", msStr, err)
+		}
+		gbps, err := strconv.ParseFloat(gbpsStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad event rate %q: %v", gbpsStr, err)
+		}
+		out = append(out, RateEvent{
+			At:         sim.Time(ms * float64(sim.Millisecond)),
+			DemandGbps: gbps,
+		})
+	}
+	return out, nil
 }
 
 // Fig9Event reports how SRC handled one synthetic congestion event.

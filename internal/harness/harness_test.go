@@ -42,6 +42,25 @@ func testTPMs(t *testing.T) (*core.TPM, *core.TPM) {
 	return tpmCong, tpm9
 }
 
+// runExperiment runs a registered experiment through the registry with
+// overrides on its defaults and no environment.
+func runExperiment(t *testing.T, name string, overrides map[string]string) *Output {
+	t.Helper()
+	e, ok := LookupExperiment(name)
+	if !ok {
+		t.Fatalf("experiment %s not registered", name)
+	}
+	p, err := e.Resolve(overrides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Run(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestFig2MatchesPaper(t *testing.T) {
 	rows := Fig2Motivation(DefaultFig2Params())
 	if len(rows) != 3 {
@@ -121,10 +140,8 @@ func TestTableIRandomForestWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TableI training; skipped with -short")
 	}
-	rows, err := TableI(ssd.ConfigA(), 1000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runExperiment(t, "table1", map[string]string{"ssd": "A", "count": "1000", "seed": "2"})
+	rows := out.Data.([]TableIRow)
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -140,9 +157,7 @@ func TestTableIRandomForestWins(t *testing.T) {
 	if rf <= byName["Linear Regression"] {
 		t.Fatalf("RF (%v) should beat linear (%v)", rf, byName["Linear Regression"])
 	}
-	var buf bytes.Buffer
-	FprintTableI(&buf, rows)
-	if !strings.Contains(buf.String(), "Random Forest") {
+	if !strings.Contains(out.Text, "Random Forest") {
 		t.Fatal("TableI print")
 	}
 }
@@ -151,10 +166,8 @@ func TestTableIIIAccuracies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TableIII cross-validation; skipped with -short")
 	}
-	rows, err := TableIII(ssd.ConfigA(), 800, 24, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runExperiment(t, "table3", map[string]string{"ssd": "A", "count": "800", "traces": "24", "seed": "3"})
+	rows := out.Data.([]TableIIIRow)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -166,9 +179,7 @@ func TestTableIIIAccuracies(t *testing.T) {
 			t.Errorf("%v: accuracy %v below 0.7 (paper: 0.89-0.98)", r.Class, r.Accuracy)
 		}
 	}
-	var buf bytes.Buffer
-	FprintTableIII(&buf, rows)
-	if !strings.Contains(buf.String(), "low size SCV") {
+	if !strings.Contains(out.Text, "low size SCV") {
 		t.Fatal("TableIII print")
 	}
 }
@@ -311,24 +322,20 @@ func TestTableIVShape(t *testing.T) {
 
 func TestFeatureImportanceFlowSpeedDominates(t *testing.T) {
 	if testing.Short() {
-		t.Skip("needs the shared TPM training; skipped with -short")
+		t.Skip("needs a TPM training run; skipped with -short")
 	}
-	tpm, _ := testTPMs(t)
-	names, weights, ok := FeatureImportanceReport(tpm)
-	if !ok {
-		t.Fatal("importances unavailable")
-	}
+	out := runExperiment(t, "importance", map[string]string{"ssd": "A", "count": "1000", "seed": "42"})
 	var flow, arrivalRelated, scv, total float64
-	for i, n := range names {
-		total += weights[i]
-		switch {
+	for _, fw := range out.Data.([]FeatureWeight) {
+		total += fw.Weight
+		switch n := fw.Feature; {
 		case strings.Contains(n, "flow_speed"):
-			flow += weights[i]
-			arrivalRelated += weights[i]
+			flow += fw.Weight
+			arrivalRelated += fw.Weight
 		case strings.Contains(n, "mean_size"), strings.Contains(n, "mean_interarrival"):
-			arrivalRelated += weights[i]
+			arrivalRelated += fw.Weight
 		case strings.Contains(n, "scv"):
-			scv += weights[i]
+			scv += fw.Weight
 		}
 	}
 	if math.Abs(total-1) > 1e-9 {

@@ -20,6 +20,7 @@ import (
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/core"
+	"srcsim/internal/devrun"
 	"srcsim/internal/netsim"
 	"srcsim/internal/ssd"
 	"srcsim/internal/trace"
@@ -36,9 +37,6 @@ const (
 	// TPMCongestion is the Sec. IV-D model: the target-array SSD-A
 	// device (TrainCongestionTPM).
 	TPMCongestion
-	// TPMFig9 is the dynamic-control model: the Fig9Config SSD-B array
-	// (devrun.TrainTPM(Fig9Config(), ...)).
-	TPMFig9
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +46,6 @@ func (k TPMKind) String() string {
 		return "none"
 	case TPMCongestion:
 		return "congestion"
-	case TPMFig9:
-		return "fig9"
 	default:
 		return fmt.Sprintf("TPMKind(%d)", int(k))
 	}
@@ -95,9 +91,18 @@ func (p Params) Float(name string) (float64, error) {
 
 // Ints parses the named parameter as a comma-separated int list.
 func (p Params) Ints(name string) ([]int, error) {
-	var out []int
+	return parseList(p, name, strconv.Atoi)
+}
+
+// Floats parses the named parameter as a comma-separated float64 list.
+func (p Params) Floats(name string) ([]float64, error) {
+	return parseList(p, name, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+}
+
+func parseList[T any](p Params, name string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(p[name], ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, fmt.Errorf("harness: param %s=%q: %w", name, p[name], err)
 		}
@@ -260,6 +265,34 @@ func ParseSSD(name string) (ssd.Config, error) {
 	}
 }
 
+// deviceParams parses the ssd, count and seed params shared by the
+// single-device experiments.
+func deviceParams(p Params) (cfg ssd.Config, count int, seed uint64, err error) {
+	if cfg, err = ParseSSD(p["ssd"]); err != nil {
+		return
+	}
+	if count, err = p.Int("count"); err != nil {
+		return
+	}
+	seed, err = p.Uint64("seed")
+	return
+}
+
+// vdiParams parses the requests and seed params of the experiments
+// that replay the Sec. IV-D VDI trace and resolves the congestion model
+// they share; callers parse their other params first, so bad input
+// fails before training.
+func vdiParams(env *Env, p Params) (requests int, seed uint64, tpm *core.TPM, err error) {
+	if requests, err = p.Int("requests"); err != nil {
+		return
+	}
+	if seed, err = p.Uint64("seed"); err != nil {
+		return
+	}
+	tpm, err = env.tpm(TPMCongestion)
+	return
+}
+
 // CongestionDigests is the machine-readable form of a paired
 // DCQCN-only / DCQCN-SRC run.
 type CongestionDigests struct {
@@ -301,6 +334,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			if !(cut >= 0 && cut <= 1) { // also rejects NaN
+				return nil, fmt.Errorf("harness: param cut_factor=%q: want a rate fraction in [0, 1]", p["cut_factor"])
+			}
 			fp := DefaultFig2Params()
 			fp.CutFactor = cut
 			rows := Fig2Motivation(fp)
@@ -318,19 +354,11 @@ func init() {
 			{Name: "seed", Default: "1", Help: "workload seed"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			cfg, err := ParseSSD(p["ssd"])
+			cfg, count, seed, err := deviceParams(p)
 			if err != nil {
 				return nil, err
 			}
 			ws, err := p.Ints("weights")
-			if err != nil {
-				return nil, err
-			}
-			count, err := p.Int("count")
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Uint64("seed")
 			if err != nil {
 				return nil, err
 			}
@@ -352,19 +380,11 @@ func init() {
 			{Name: "cc", Default: "dcqcn", Help: ccParamHelp()},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			requests, err := p.Int("requests")
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Uint64("seed")
-			if err != nil {
-				return nil, err
-			}
 			cc, err := ParseCC(p["cc"])
 			if err != nil {
 				return nil, err
 			}
-			tpm, err := env.tpm(TPMCongestion)
+			requests, seed, tpm, err := vdiParams(env, p)
 			if err != nil {
 				return nil, err
 			}
@@ -384,20 +404,32 @@ func init() {
 	register(&Experiment{
 		Name:  "fig9",
 		Title: "dynamic throughput adjustment under synthetic congestion events",
-		TPM:   TPMFig9,
 		Params: []Param{
-			{Name: "seed", Default: "5", Help: "workload seed"},
+			{Name: "seed", Default: "5", Help: "workload seed (the Fig. 9 model trains with seed^0xd1c7)"},
+			{Name: "train", Default: "2000", Help: "per-direction request count for the Fig. 9 model's training runs"},
+			{Name: "events", Default: "", Help: "comma-separated ms:Gbps congestion events (empty: the paper's 60:6,100:3,140:6,180:10)"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
 			seed, err := p.Uint64("seed")
 			if err != nil {
 				return nil, err
 			}
-			tpm, err := env.tpm(TPMFig9)
+			train, err := p.Int("train")
 			if err != nil {
 				return nil, err
 			}
-			res, err := Fig9DynamicControl(tpm, nil, 0, seed)
+			events, err := parseEvents(p["events"])
+			if err != nil {
+				return nil, fmt.Errorf("harness: param events=%q: %w", p["events"], err)
+			}
+			// The Fig. 9 device is not the congestion testbed's, so the
+			// experiment trains (or loads from the artifact cache) its own
+			// model rather than asking the environment for one.
+			tpm, _, err := devrun.TrainTPMCached(devrun.TPMCacheFromEnv(), Fig9Config(), train, seed^0xd1c7)
+			if err != nil {
+				return nil, err
+			}
+			res, err := Fig9DynamicControl(tpm, events, 0, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -443,6 +475,54 @@ func init() {
 		},
 	})
 
+	// Tables I and III and the importance report train on one bare
+	// Table II device.
+	deviceDecls := func(extra ...Param) []Param {
+		return append([]Param{
+			{Name: "ssd", Default: "A", Help: "Table II device: A, B, or C"},
+			{Name: "count", Default: "2500", Help: "requests per direction per training run"},
+			{Name: "seed", Default: "1", Help: "seed"},
+		}, extra...)
+	}
+
+	register(&Experiment{
+		Name:   "table1",
+		Title:  "TPM regressor comparison: five estimators' R² (Table I)",
+		Params: deviceDecls(),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := deviceParams(p)
+			if err != nil {
+				return nil, err
+			}
+			rows, err := TableI(cfg, count, seed)
+			if err != nil {
+				return nil, err
+			}
+			return &Output{Text: render(func(w io.Writer) { FprintTableI(w, rows) }), Data: rows}, nil
+		},
+	})
+
+	register(&Experiment{
+		Name:   "table3",
+		Title:  "TPM grouped cross-validation over workload classes (Table III)",
+		Params: deviceDecls(Param{Name: "traces", Default: "24", Help: "synthetic workload pool size"}),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := deviceParams(p)
+			if err != nil {
+				return nil, err
+			}
+			traces, err := p.Int("traces")
+			if err != nil {
+				return nil, err
+			}
+			rows, err := TableIII(cfg, count, traces, seed)
+			if err != nil {
+				return nil, err
+			}
+			return &Output{Text: render(func(w io.Writer) { FprintTableIII(w, rows) }), Data: rows}, nil
+		},
+	})
+
 	register(&Experiment{
 		Name:  "table4",
 		Title: "in-cast ratio analysis (2:1 .. 4:4)",
@@ -469,6 +549,31 @@ func init() {
 				return nil, err
 			}
 			return &Output{Text: render(func(w io.Writer) { FprintTableIV(w, rows) }), Data: rows}, nil
+		},
+	})
+
+	register(&Experiment{
+		Name:   "importance",
+		Title:  "TPM Breiman feature importances (Sec. III-B)",
+		Params: deviceDecls(),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := deviceParams(p)
+			if err != nil {
+				return nil, err
+			}
+			tpm, _, err := devrun.TrainTPMCached(devrun.TPMCacheFromEnv(), cfg, count, seed)
+			if err != nil {
+				return nil, err
+			}
+			names, weights, ok := FeatureImportanceReport(tpm)
+			if !ok {
+				return nil, fmt.Errorf("harness: importance: the trained model carries no importances")
+			}
+			fws := make([]FeatureWeight, len(names))
+			for i, n := range names {
+				fws[i] = FeatureWeight{Feature: n, Weight: weights[i]}
+			}
+			return &Output{Text: render(func(w io.Writer) { FprintFeatureImportances(w, fws) }), Data: fws}, nil
 		},
 	})
 
@@ -521,15 +626,7 @@ func init() {
 				{Name: "seed", Default: "7", Help: "workload seed"},
 			},
 			Run: func(env *Env, p Params) (*Output, error) {
-				requests, err := p.Int("requests")
-				if err != nil {
-					return nil, err
-				}
-				seed, err := p.Uint64("seed")
-				if err != nil {
-					return nil, err
-				}
-				tpm, err := env.tpm(TPMCongestion)
+				requests, seed, tpm, err := vdiParams(env, p)
 				if err != nil {
 					return nil, err
 				}
@@ -553,23 +650,15 @@ func init() {
 			{Name: "delays", Default: "1,32", Help: "comma-separated base-delay multipliers"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			requests, err := p.Int("requests")
+			losses, err := p.Floats("losses")
 			if err != nil {
 				return nil, err
 			}
-			seed, err := p.Uint64("seed")
+			delays, err := p.Floats("delays")
 			if err != nil {
 				return nil, err
 			}
-			losses, err := parseFloats("losses", p["losses"])
-			if err != nil {
-				return nil, err
-			}
-			delays, err := parseFloats("delays", p["delays"])
-			if err != nil {
-				return nil, err
-			}
-			tpm, err := env.tpm(TPMCongestion)
+			requests, seed, tpm, err := vdiParams(env, p)
 			if err != nil {
 				return nil, err
 			}
@@ -590,15 +679,7 @@ func init() {
 			{Name: "seed", Default: "7", Help: "workload seed"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			requests, err := p.Int("requests")
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Uint64("seed")
-			if err != nil {
-				return nil, err
-			}
-			tpm, err := env.tpm(TPMCongestion)
+			requests, seed, tpm, err := vdiParams(env, p)
 			if err != nil {
 				return nil, err
 			}
@@ -621,15 +702,7 @@ func init() {
 				Help: "comma-separated CC schemes to sweep (see -list-cc)"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			requests, err := p.Int("requests")
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Uint64("seed")
-			if err != nil {
-				return nil, err
-			}
-			tpm, err := env.tpm(TPMCongestion)
+			requests, seed, tpm, err := vdiParams(env, p)
 			if err != nil {
 				return nil, err
 			}
@@ -638,6 +711,25 @@ func init() {
 				return nil, err
 			}
 			return &Output{Text: render(func(w io.Writer) { FprintCCMatrix(w, res) }), Data: res}, nil
+		},
+	})
+
+	register(&Experiment{
+		Name:  "clos-scale",
+		Title: "the paper's 256-host Clos fabric with 16 active storage pairs (Sec. IV-A)",
+		Params: []Param{
+			{Name: "requests", Default: "400", Help: "requests per direction per storage pair"},
+		},
+		Run: func(env *Env, p Params) (*Output, error) {
+			requests, err := p.Int("requests")
+			if err != nil {
+				return nil, err
+			}
+			res, err := ClosScale(requests)
+			if err != nil {
+				return nil, err
+			}
+			return &Output{Text: render(func(w io.Writer) { FprintClosScale(w, res) }), Data: res}, nil
 		},
 	})
 

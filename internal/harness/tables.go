@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -188,8 +189,35 @@ func FprintTableIII(w io.Writer, rows []TableIIIRow) {
 	}
 }
 
+// MarshalJSON writes the class by name and a NaN accuracy (a class that
+// drew no held-out traces) as null, which JSON numbers cannot express.
+func (r TableIIIRow) MarshalJSON() ([]byte, error) {
+	var acc *float64
+	if !math.IsNaN(r.Accuracy) {
+		acc = &r.Accuracy
+	}
+	return json.Marshal(struct {
+		Class    string   `json:"class"`
+		Accuracy *float64 `json:"accuracy"`
+	}{r.Class.String(), acc})
+}
+
 // FeatureImportanceReport returns the TPM's Breiman feature importances
 // (Sec. III-B reports arrival flow speed at 0.39).
 func FeatureImportanceReport(tpm *core.TPM) (names []string, weights []float64, ok bool) {
 	return tpm.FeatureImportances()
+}
+
+// FeatureWeight is one feature's Breiman importance.
+type FeatureWeight struct {
+	Feature string  `json:"feature"`
+	Weight  float64 `json:"weight"`
+}
+
+// FprintFeatureImportances renders the importances in feature order.
+func FprintFeatureImportances(w io.Writer, fws []FeatureWeight) {
+	fmt.Fprintln(w, "Breiman feature importances:")
+	for _, fw := range fws {
+		fmt.Fprintf(w, "  %-28s %.3f\n", fw.Feature, fw.Weight)
+	}
 }
