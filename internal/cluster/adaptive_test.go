@@ -8,7 +8,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"srcsim/internal/core"
@@ -30,13 +29,13 @@ func TestSummaryShapeWithoutAdaptation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(res.Summary)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"ladder"`, `"adapt_`} {
-		if strings.Contains(buf.String(), key) {
-			t.Errorf("adaptation-off summary contains %s:\n%s", key, buf.String())
+		if bytes.Contains(b, []byte(key)) {
+			t.Errorf("adaptation-off summary contains %s:\n%s", key, b)
 		}
 	}
 	if res.Ladder != nil || res.Retrains != 0 || res.AdaptRecovered {
@@ -71,7 +70,7 @@ func TestSummaryLedgerWithAdaptation(t *testing.T) {
 	if res.Ladder[0].To != core.LadderStatic.String() {
 		t.Fatalf("first transition %+v, want a Static descent", res.Ladder[0])
 	}
-	b, err := json.Marshal(res.Summary())
+	b, err := json.Marshal(res.Summary)
 	if err != nil {
 		t.Fatal(err)
 	}

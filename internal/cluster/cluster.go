@@ -82,11 +82,12 @@ type Spec struct {
 	// TPM must be a trained model when Mode is DCQCNSRC.
 	TPM *core.TPM
 	SRC core.ControllerConfig
-	// Ctrl, when Enabled and Mode is DCQCNSRC, routes SRC telemetry and
-	// weight directives through the in-band control plane (lossy delayed
-	// messaging, epoch-guarded directives, lease liveness, controller
-	// failover; see internal/ctrlplane). The zero value keeps the
-	// historical direct-call wiring byte-for-byte.
+	// Ctrl selects the channel between each DCQCN-SRC target and its
+	// controller (see internal/ctrlplane). The zero value is the ideal
+	// channel: synchronous calls, nothing scheduled. Enabled routes SRC
+	// telemetry and weight directives in band (lossy delayed messaging,
+	// epoch-guarded directives, lease liveness, controller failover).
+	// Other modes have no controller and always get the ideal channel.
 	Ctrl ctrlplane.Config
 	// StaticWeight is the fixed write weight for SSQStatic (default 1).
 	StaticWeight int
@@ -196,6 +197,9 @@ func (s Spec) withDefaults() Spec {
 		s.TrimFrac = 0.10
 	}
 	s.Guard = s.Guard.WithDefaults()
+	if s.Mode != DCQCNSRC {
+		s.Ctrl = ctrlplane.Config{}
+	}
 	// A schedule's Recovery block arms any recovery knob the caller left
 	// unset; explicit Spec settings win.
 	if s.Faults != nil && s.Faults.Recovery != nil {
@@ -222,7 +226,6 @@ type TargetNode struct {
 	T    *nvmeof.Target
 	Devs []*ssd.Device
 	SSQs []*nvme.SSQ // nil entries when Mode is DCQCNOnly
-	Ctl  *core.Controller
 }
 
 // Cluster is a built, ready-to-run testbed.
@@ -252,21 +255,27 @@ type Cluster struct {
 	failed    int
 	total     int
 
-	// Guard state: the in-flight ledger (watchdog only), the fatal
-	// verdict (stall or violation), and the graceful-truncation marker.
-	flight         map[uint64]flightRec
+	// flight is the in-flight table: the submission time of every
+	// request, by ID, until it completes or fails (latency start times,
+	// the watchdog's census). reqs and assign are the run's trace and
+	// routing, from which a stall dump rebuilds the rest.
+	flight map[uint64]sim.Time
+	reqs   []trace.Request
+	assign Assign
+	// Guard state: the fatal verdict (stall or violation) and the
+	// graceful-truncation marker.
 	guardErr       error
 	truncated      bool
 	truncateReason string
 
 	// telemetryStalled gates the SRC monitor feed per target (the
-	// telemetry-stall fault). Both the direct path and the in-band
-	// control plane pass through this same gate (feedTelemetry), so
-	// stall faults and channel loss degrade the controller identically.
+	// telemetry-stall fault). The gate sits in front of plane.Record on
+	// either channel, so stall faults and in-band loss degrade the
+	// controller identically.
 	telemetryStalled []bool
 
-	// plane is the in-band control plane; nil unless Spec.Ctrl.Enabled
-	// with Mode DCQCNSRC.
+	// plane is the only route to the SRC controllers: the ideal channel
+	// unless Spec.Ctrl is enabled.
 	plane *ctrlplane.Plane
 
 	// sc is the run's trace scope (nil when Spec.Trace is nil).
@@ -326,10 +335,8 @@ func New(spec Spec) (*Cluster, error) {
 		c.adaptReadBits = make([]float64, spec.Targets)
 		c.adaptWriteBits = make([]float64, spec.Targets)
 	}
-	if spec.Mode == DCQCNSRC && spec.Ctrl.Enabled {
-		c.plane = ctrlplane.New(eng, spec.Ctrl, spec.Targets, net.SwitchQueuedBytes)
-		c.plane.Instrument(spec.Metrics, modeL)
-	}
+	c.plane = ctrlplane.New(eng, spec.Ctrl, spec.Targets, net.SwitchQueuedBytes)
+	c.plane.Instrument(spec.Metrics, modeL)
 
 	for i := 0; i < spec.Initiators; i++ {
 		ini := nvmeof.NewInitiator(net, eng, hosts[i])
@@ -439,23 +446,21 @@ func New(spec Spec) (*Cluster, error) {
 			}
 			target := tn.T
 			tIdx := tIdx
-			mk := func(sink core.WeightSink) *core.Controller {
+			c.plane.Register(tIdx, group, func(sink core.WeightSink) *core.Controller {
 				ctl := core.NewController(srcCfg, spec.TPM, sink)
 				ctl.Instrument(spec.Metrics, sc, fmt.Sprintf("t%d", tIdx), modeL)
 				return ctl
-			}
-			if c.plane != nil {
-				// In-band: the controller drives a plane directive sink;
-				// the agent owns the real SSQ group.
-				tn.Ctl = c.plane.Register(tIdx, group, mk)
-			} else {
-				tn.Ctl = mk(group)
-			}
+			})
+			// The telemetry-stall gate starves the monitor feed only: a
+			// stalled controller still hears rate changes and degrades via
+			// staleness, not silence.
 			tn.T.OnCommandArrive = func(req trace.Request, at sim.Time) {
-				c.feedTelemetry(tIdx, req, at)
+				if !c.telemetryStalled[tIdx] {
+					c.plane.Record(tIdx, req, at)
+				}
 			}
 			tn.T.OnReadRate = func(_ *netsim.Flow, _, _ float64) {
-				c.feedRate(tIdx, target.ReadSendRate())
+				c.plane.RateEvent(tIdx, target.ReadSendRate())
 			}
 		}
 		c.Targets = append(c.Targets, tn)
@@ -467,7 +472,9 @@ func New(spec Spec) (*Cluster, error) {
 			Metrics: spec.Metrics, Scope: sc,
 			StallTelemetry: func(t int, stalled bool) { c.telemetryStalled[t] = stalled },
 		}
-		if c.plane != nil {
+		if spec.Ctrl.Enabled {
+			// Ctrl-* faults need an in-band channel; on the ideal one
+			// installation fails.
 			b.Ctrl = c.plane
 		}
 		b.Initiators = append(b.Initiators, hosts[:spec.Initiators]...)
@@ -482,44 +489,4 @@ func New(spec Spec) (*Cluster, error) {
 		c.Injector = inj
 	}
 	return c, nil
-}
-
-// feedTelemetry routes one monitored request to target t's SRC
-// controller: through the in-band control plane's publisher when one is
-// enabled, directly into the monitor otherwise. Both paths share the
-// telemetry-stall gate, so the telemetry-stall fault and in-band channel
-// loss starve the controller through the same staleness watchdog and
-// produce consistent Degraded() semantics.
-func (c *Cluster) feedTelemetry(t int, req trace.Request, at sim.Time) {
-	if c.telemetryStalled[t] {
-		return
-	}
-	if c.plane != nil {
-		c.plane.Publisher(t).Record(req, at)
-		return
-	}
-	c.Targets[t].Ctl.Monitor.Record(req, at)
-}
-
-// activeCtl returns target t's currently live controller: the plane's
-// active incarnation when the control plane is on (nil while the
-// controller process is down), the fixed direct controller otherwise.
-func (c *Cluster) activeCtl(t int) *core.Controller {
-	if c.plane != nil {
-		return c.plane.Active(t)
-	}
-	return c.Targets[t].Ctl
-}
-
-// feedRate routes one demanded-rate event to target t's SRC controller
-// (in-band when the plane is enabled, direct otherwise). Rate events are
-// deliberately not gated by telemetryStalled, matching the historical
-// direct wiring: a stalled monitor feed still hears rate changes and
-// degrades via staleness, not silence.
-func (c *Cluster) feedRate(t int, rate float64) {
-	if c.plane != nil {
-		c.plane.Publisher(t).RateEvent(rate)
-		return
-	}
-	c.Targets[t].Ctl.OnRateEvent(c.Eng.Now(), rate)
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -330,9 +332,42 @@ func TestSRCPlumbingWithFakeTPM(t *testing.T) {
 	if res.Completed != res.Submitted {
 		t.Fatalf("incomplete: %d/%d", res.Completed, res.Submitted)
 	}
-	for _, tn := range c.Targets {
-		if tn.Ctl == nil {
+	for i := range c.Targets {
+		if c.plane.Active(i) == nil {
 			t.Fatal("SRC controller missing")
 		}
+	}
+}
+
+func TestResultSummaryJSON(t *testing.T) {
+	c, err := New(congestionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(vdiTrace(t, 300), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := res.Summary
+	if sum.ModeName != res.Mode.String() || sum.DurationMs != res.Duration.Millis() ||
+		sum.WeightEventCount != len(res.WeightEvents) {
+		t.Fatalf("summary disagrees with its result: %+v", sum)
+	}
+	if sum.ModeName != "DCQCN-Only" || sum.Completed != sum.Submitted || sum.AggregatedGbps <= 0 {
+		t.Fatalf("summary mismatch: %+v", sum)
+	}
+	if sum.ReadLatencyP50Ms <= 0 || sum.ReadLatencyP99Ms < sum.ReadLatencyP50Ms {
+		t.Fatalf("latency summary %+v", sum)
+	}
+	b, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Summary
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, sum) {
+		t.Fatalf("JSON round trip: %+v vs %+v", back, sum)
 	}
 }

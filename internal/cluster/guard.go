@@ -9,14 +9,6 @@ import (
 	"srcsim/internal/trace"
 )
 
-// flightRec is one submitted-but-unfinished request in the guard's
-// in-flight ledger (maintained only when the liveness watchdog is
-// armed).
-type flightRec struct {
-	req         trace.Request
-	submittedAt sim.Time
-}
-
 // AuditInvariants verifies the cluster-level ledger: completions and
 // failures never outrun submissions — checked continuously during the
 // run, not just at the end.
@@ -38,10 +30,8 @@ func (c *Cluster) AuditInvariants() []guard.Violation {
 func (c *Cluster) auditAll() []guard.Violation {
 	vs := c.AuditInvariants()
 	vs = append(vs, c.Net.AuditInvariants()...)
-	if c.plane != nil {
-		if pvs := c.plane.AuditInvariants(); len(pvs) > 0 {
-			vs = append(vs, guard.Tag(pvs, "ctrlplane")...)
-		}
+	if pvs := c.plane.AuditInvariants(); len(pvs) > 0 {
+		vs = append(vs, guard.Tag(pvs, "ctrlplane")...)
 	}
 	// Tags are only formatted for non-empty violation lists: the guard
 	// polls this on every audit tick, and the clean path must not allocate.
@@ -89,16 +79,29 @@ func (c *Cluster) buildDump() *guard.Dump {
 	} else {
 		d.HeapEmpty = true
 	}
-	// Oldest-first census, capped; selection is by (age, id) so map
+	// Oldest-first census, capped; selection is by (age, id). The
+	// in-flight table keeps only submission times: the rest comes from
+	// the trace and its (pure) assignment, walked in trace order so map
 	// iteration order cannot leak into the dump.
-	recs := make([]flightRec, 0, len(c.flight))
-	for _, r := range c.flight {
-		recs = append(recs, r)
+	recs := make([]guard.CommandInfo, 0, len(c.flight))
+	perIni := make([]int, len(c.Initiators))
+	for idx, r := range c.reqs {
+		at, ok := c.flight[r.ID]
+		if !ok {
+			continue
+		}
+		ini, tgt := c.assign(r, idx, len(c.Initiators), len(c.Targets))
+		perIni[ini]++
+		recs = append(recs, guard.CommandInfo{
+			ID: r.ID, Initiator: ini, Target: tgt,
+			Write: r.Op == trace.Write, Bytes: int64(r.Size),
+			SubmittedAt: at, Age: now - at,
+		})
 	}
 	for i := 0; i < len(recs); i++ {
 		for j := i + 1; j < len(recs); j++ {
-			if recs[j].submittedAt < recs[i].submittedAt ||
-				(recs[j].submittedAt == recs[i].submittedAt && recs[j].req.ID < recs[i].req.ID) {
+			if recs[j].SubmittedAt < recs[i].SubmittedAt ||
+				(recs[j].SubmittedAt == recs[i].SubmittedAt && recs[j].ID < recs[i].ID) {
 				recs[i], recs[j] = recs[j], recs[i]
 			}
 		}
@@ -107,27 +110,13 @@ func (c *Cluster) buildDump() *guard.Dump {
 		}
 	}
 	if len(recs) > 0 {
-		d.OldestAge = now - recs[0].submittedAt
+		d.OldestAge = recs[0].Age
 	}
 	lim := len(recs)
 	if lim > guard.MaxDumpCommands {
 		lim = guard.MaxDumpCommands
 	}
-	perIni := make([]int, len(c.Initiators))
-	for _, r := range recs {
-		perIni[r.req.Initiator]++
-	}
-	for _, r := range recs[:lim] {
-		d.InFlight = append(d.InFlight, guard.CommandInfo{
-			ID:          r.req.ID,
-			Initiator:   r.req.Initiator,
-			Target:      r.req.Target,
-			Write:       r.req.Op == trace.Write,
-			Bytes:       int64(r.req.Size),
-			SubmittedAt: r.submittedAt,
-			Age:         now - r.submittedAt,
-		})
-	}
+	d.InFlight = append(d.InFlight, recs[:lim]...)
 	for i, ini := range c.Initiators {
 		d.Initiators = append(d.Initiators, guard.InitiatorState{
 			ID: i, InFlight: perIni[i], RetryPending: ini.PendingCount(),
@@ -176,7 +165,6 @@ func (c *Cluster) installGuard() (teardown func()) {
 	var stops []func()
 
 	if cfg.StallHorizon > 0 {
-		c.flight = make(map[uint64]flightRec)
 		lastDone := -1
 		stops = append(stops, c.Eng.Ticker(cfg.CheckEvery, func() {
 			if c.guardErr != nil {
@@ -189,9 +177,9 @@ func (c *Cluster) installGuard() (teardown func()) {
 				return
 			}
 			oldest := sim.MaxTime
-			for _, r := range c.flight {
-				if r.submittedAt < oldest {
-					oldest = r.submittedAt
+			for _, at := range c.flight {
+				if at < oldest {
+					oldest = at
 				}
 			}
 			if c.Eng.Now()-oldest <= cfg.StallHorizon {

@@ -11,7 +11,8 @@ import (
 )
 
 // runSummaryJSON builds a fresh congestion cluster (DCQCN-SRC with the
-// fake TPM), runs the standard VDI trace, and returns the Summary JSON.
+// fake TPM), runs the standard VDI trace, and returns the indented
+// Summary JSON plus a newline (the testdata/summary_golden.json form).
 func runSummaryJSON(t *testing.T, mod func(*Spec)) []byte {
 	t.Helper()
 	spec := congestionSpec()
@@ -28,11 +29,11 @@ func runSummaryJSON(t *testing.T, mod func(*Spec)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(res.Summary, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return append(b, '\n')
 }
 
 // TestTracingDoesNotPerturbRuns is the determinism regression: a seeded

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
-	"srcsim/internal/atomicio"
 	"srcsim/internal/core"
 	"srcsim/internal/ctrlplane"
 	"srcsim/internal/guard"
@@ -17,9 +14,11 @@ import (
 	"srcsim/internal/trace"
 )
 
-// Assign routes a request to (initiator, target) indexes. The default
-// policy stripes requests round-robin over both sets, which splits the
-// workload evenly across targets as in the paper's experiments.
+// Assign routes a request to (initiator, target) indexes. It must be a
+// pure function of its arguments: a stall dump recomputes it. The
+// default policy stripes requests round-robin over both sets, which
+// splits the workload evenly across targets as in the paper's
+// experiments.
 type Assign func(req trace.Request, idx int, initiators, targets int) (int, int)
 
 // DefaultAssign is the round-robin policy.
@@ -27,8 +26,12 @@ func DefaultAssign(req trace.Request, idx int, initiators, targets int) (int, in
 	return idx % initiators, idx % targets
 }
 
-// Result summarises one run.
+// Result is one run's outcome: the scalar Summary plus what it cannot
+// carry — the mode, the run length, the raw per-bucket series and the
+// merged weight-event log.
 type Result struct {
+	Summary
+
 	Mode     Mode
 	Duration sim.Time
 
@@ -38,74 +41,8 @@ type Result struct {
 	WriteGbps []float64
 	Pauses    []float64
 
-	// Steady-state aggregates (Gbps) over the active window: the trace's
-	// arrival span with the first and last TrimFrac removed (Sec. IV-B's
-	// warm-up/wrap-up trimming). The post-arrival drain tail is excluded
-	// so runs of different lengths compare like the paper's timelines.
-	MeanReadGbps   float64
-	MeanWriteGbps  float64
-	AggregatedGbps float64
-
-	Completed, Submitted int
-	// Failed counts requests abandoned after exhausting their retry
-	// budget; the accounting invariant under faults is
-	// Completed + Failed == Submitted.
-	Failed int
-	// Truncated marks a run cut short by graceful cancellation (a
-	// guard.Stopper fired or the wall budget ran out) rather than by
-	// completing its workload; the metric and fault ledgers cover the
-	// portion that ran. TruncateReason says why.
-	Truncated      bool
-	TruncateReason string
-	TotalCNPs      uint64
-	TotalECNMarks  uint64
-	TotalPFCPauses uint64
-
-	// Fault-injection and recovery counters (all zero on fault-free
-	// runs).
-	FaultsInjected   uint64
-	Retries          uint64
-	Timeouts         uint64
-	StaleResponses   uint64
-	DupsDropped      uint64
-	DroppedPackets   uint64
-	CorruptedPackets uint64
-	RouteDrops       uint64
-	WatchdogTrips    uint64
-	ForcedPauses     uint64
-	LinkDowns        uint64
-
-	// End-to-end request latency percentiles (submission at the
-	// initiator to completion at the initiator), in milliseconds.
-	ReadLatencyP50Ms  float64
-	ReadLatencyP99Ms  float64
-	WriteLatencyP50Ms float64
-	WriteLatencyP99Ms float64
-
 	// WeightEvents merges all SRC adjustments (empty unless DCQCN-SRC).
 	WeightEvents []core.AdjustEvent
-
-	// Adaptive-ladder ledger (empty unless Spec.SRC.Adaptive is armed):
-	// every per-target ladder transition merged in time order, the
-	// retraining counters summed across targets, and the run's
-	// time-to-recover — from the first severe descent (ModelFree or
-	// Static: the model is out of the loop) until every target that left
-	// Predictive is back on it (AdaptRecovered false when the run ends
-	// still degraded).
-	Ladder         []LadderStep
-	Retrains       uint64
-	Promotions     uint64
-	Rejections     uint64
-	AdaptRecovered bool
-	AdaptRecoverMs float64
-
-	// Ctrl is the in-band control plane's message/liveness ledger; nil
-	// unless Spec.Ctrl was enabled.
-	Ctrl *ctrlplane.Ledger
-
-	// Metrics is the registry snapshot taken after the end-of-run flush;
-	// nil unless Spec.Metrics was set.
-	Metrics *obs.Snapshot
 }
 
 // LadderStep is one adaptive-ladder transition in the run ledger,
@@ -129,21 +66,22 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	}
 	spec := c.Spec
 	c.total = tr.Len()
-	submitTimes := make(map[uint64]sim.Time, tr.Len())
+	c.flight = make(map[uint64]sim.Time)
+	c.reqs, c.assign = tr.Requests, assign
 	var readLats, writeLats []float64
 	for i := range c.Initiators {
 		ini := c.Initiators[i]
 		prev := ini.OnComplete
 		ini.OnComplete = func(req trace.Request, readData bool, at sim.Time) {
-			if t0, ok := submitTimes[req.ID]; ok {
+			if t0, ok := c.flight[req.ID]; ok {
 				lat := (at - t0).Millis()
 				if readData {
 					readLats = append(readLats, lat)
 				} else {
 					writeLats = append(writeLats, lat)
 				}
+				delete(c.flight, req.ID)
 			}
-			delete(c.flight, req.ID)
 			prev(req, readData, at)
 		}
 		if prevFail := ini.OnFailed; prevFail != nil {
@@ -175,26 +113,20 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 		tgt := c.Targets[tgtIdx]
 		r.Initiator, r.Target = iniIdx, tgtIdx
 		c.Eng.Schedule(r.Arrival, func() {
-			submitTimes[r.ID] = c.Eng.Now()
-			if c.flight != nil {
-				c.flight[r.ID] = flightRec{req: r, submittedAt: c.Eng.Now()}
-			}
+			c.flight[r.ID] = c.Eng.Now()
 			ini.Submit(r, tgt.T.Node)
 		})
 	}
 
 	// Arm the governance hooks (no-op and event-free when Spec.Guard is
-	// the zero config). Must precede the first event so the in-flight
-	// ledger exists before any submission fires.
+	// the zero config).
 	unguard := c.installGuard()
 
 	// In-band control plane: telemetry flushes, heartbeats, lease checks
-	// and the standby watchdog run as ordinary engine tickers. Started
-	// before the first submission so leases are live from t=0.
-	stopPlane := func() {}
-	if c.plane != nil {
-		stopPlane = c.plane.Start()
-	}
+	// and the standby watchdog run as ordinary engine tickers, started
+	// before the first submission so leases are live from t=0. The ideal
+	// channel schedules nothing.
+	stopPlane := c.plane.Start()
 
 	// Flight recorder: read-only per-layer probes sampled on the sim
 	// clock, plus the registry sweep. Started before the first model
@@ -240,7 +172,7 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	// so their event sequence is unchanged.
 	stopObserve := func() {}
 	if c.adaptReadBits != nil {
-		every := c.Targets[0].Ctl.Cfg.Adaptive.ObserveEvery
+		every := c.plane.Active(0).Cfg.Adaptive.ObserveEvery
 		secs := float64(every) / 1e9
 		arrivalEnd := tr.Duration()
 		lastR := make([]float64, len(c.Targets))
@@ -257,7 +189,7 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 				// phantom. This mirrors the measurement methodology: all
 				// summary metrics cover the (trimmed) arrival span too.
 				for i := range c.Targets {
-					if ctl := c.activeCtl(i); ctl != nil {
+					if ctl := c.plane.Active(i); ctl != nil {
 						ctl.FreezeAdaptation()
 					}
 				}
@@ -269,7 +201,7 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 				lastR[i], lastW[i] = c.adaptReadBits[i], c.adaptWriteBits[i]
 				// Observations address the live controller incarnation; none
 				// while the controller process is down (crash, pre-failover).
-				if ctl := c.activeCtl(i); ctl != nil {
+				if ctl := c.plane.Active(i); ctl != nil {
 					ctl.Observe(now, dr/secs, dw/secs)
 				}
 			}
@@ -326,13 +258,17 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	duration := c.Eng.Now()
 
 	res := &Result{
-		Mode:           spec.Mode,
-		Duration:       duration,
-		Completed:      c.completed,
-		Failed:         c.failed,
-		Submitted:      tr.Len(),
-		Truncated:      c.truncated,
-		TruncateReason: c.truncateReason,
+		Summary: Summary{
+			ModeName:       spec.Mode.String(),
+			DurationMs:     duration.Millis(),
+			Completed:      c.completed,
+			Failed:         c.failed,
+			Submitted:      tr.Len(),
+			Truncated:      c.truncated,
+			TruncateReason: c.truncateReason,
+		},
+		Mode:     spec.Mode,
+		Duration: duration,
 	}
 	for _, ini := range c.Initiators {
 		res.Retries += ini.Retries
@@ -404,17 +340,10 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 
 	for tIdx, t := range c.Targets {
 		res.TotalCNPs += t.T.Node.NIC.CNPsReceived
-		// Under the control plane a target may have seen several controller
-		// incarnations (failover/restart re-seed fresh ones); merge every
-		// incarnation's ledgers in succession order.
-		ctls := []*core.Controller{t.Ctl}
-		if c.plane != nil {
-			ctls = c.plane.Controllers(tIdx)
-		}
-		for _, ctl := range ctls {
-			if ctl == nil {
-				continue
-			}
+		// A target may have seen several controller incarnations (in-band
+		// failover/restart re-seed fresh ones); merge every incarnation's
+		// ledgers in succession order.
+		for _, ctl := range c.plane.Controllers(tIdx) {
 			res.WeightEvents = append(res.WeightEvents, ctl.Events...)
 			for _, lt := range ctl.Ladder() {
 				res.Ladder = append(res.Ladder, LadderStep{
@@ -428,10 +357,8 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 			res.Rejections += rj
 		}
 	}
-	if c.plane != nil {
-		led := c.plane.LedgerSnapshot()
-		res.Ctrl = &led
-	}
+	res.WeightEventCount = len(res.WeightEvents)
+	res.Ctrl = c.plane.LedgerSnapshot()
 	// Time order; targets appended in index order make the sort's ties
 	// deterministic under SliceStable.
 	sort.SliceStable(res.Ladder, func(i, j int) bool {
@@ -507,13 +434,13 @@ func (c *Cluster) recorderProbe() timeseries.Sampler {
 	ctrlTrack := mode + "/ctrl"
 	return func(now sim.Time, emit timeseries.Emit) {
 		c.Net.SampleSeries(netTrack, emit)
-		if c.plane != nil {
-			c.plane.SampleSeries(now, ctrlTrack, emit)
-		}
+		c.plane.SampleSeries(now, ctrlTrack, emit)
 		for i, tn := range c.Targets {
 			tn.T.SampleSeries(tgtTracks[i], emit)
-			if tn.Ctl != nil {
-				tn.Ctl.SampleSeries(tgtTracks[i], emit)
+			// The latest incarnation: the live controller, or the one that
+			// was live when the controller process went down.
+			if ctls := c.plane.Controllers(i); len(ctls) > 0 {
+				ctls[len(ctls)-1].SampleSeries(tgtTracks[i], emit)
 			}
 		}
 		for i, ini := range c.Initiators {
@@ -577,32 +504,42 @@ func (c *Cluster) flushMetrics(reg *obs.Registry) {
 	}
 }
 
-// Summary is the machine-readable digest of a Result.
+// Summary is the scalar, machine-readable part of a run's Result.
 type Summary struct {
-	Mode           string  `json:"mode"`
-	DurationMs     float64 `json:"duration_ms"`
-	ReadGbps       float64 `json:"read_gbps"`
-	WriteGbps      float64 `json:"write_gbps"`
+	ModeName   string  `json:"mode"`
+	DurationMs float64 `json:"duration_ms"`
+	// Steady-state aggregates (Gbps) over the active window: the trace's
+	// arrival span with the first and last TrimFrac removed (Sec. IV-B's
+	// warm-up/wrap-up trimming). The post-arrival drain tail is excluded
+	// so runs of different lengths compare like the paper's timelines.
+	MeanReadGbps   float64 `json:"read_gbps"`
+	MeanWriteGbps  float64 `json:"write_gbps"`
 	AggregatedGbps float64 `json:"aggregated_gbps"`
 	Completed      int     `json:"completed"`
 	Submitted      int     `json:"submitted"`
-	CNPs           uint64  `json:"cnps"`
-	ECNMarks       uint64  `json:"ecn_marks"`
-	PFCPauses      uint64  `json:"pfc_pauses"`
-	ReadLatP50Ms   float64 `json:"read_latency_p50_ms"`
-	ReadLatP99Ms   float64 `json:"read_latency_p99_ms"`
-	WriteLatP50Ms  float64 `json:"write_latency_p50_ms"`
-	WriteLatP99Ms  float64 `json:"write_latency_p99_ms"`
-	WeightEvents   int     `json:"weight_events"`
+	TotalCNPs      uint64  `json:"cnps"`
+	TotalECNMarks  uint64  `json:"ecn_marks"`
+	TotalPFCPauses uint64  `json:"pfc_pauses"`
+	// End-to-end request latency percentiles (submission at the
+	// initiator to completion at the initiator), in milliseconds.
+	ReadLatencyP50Ms  float64 `json:"read_latency_p50_ms"`
+	ReadLatencyP99Ms  float64 `json:"read_latency_p99_ms"`
+	WriteLatencyP50Ms float64 `json:"write_latency_p50_ms"`
+	WriteLatencyP99Ms float64 `json:"write_latency_p99_ms"`
+	WeightEventCount  int     `json:"weight_events"`
 
 	// Truncation markers, omitted on complete runs so their JSON shape
-	// is unchanged. A truncated summary is still fully valid JSON with
-	// every ledger intact — it just covers a shorter run.
+	// is unchanged. Truncated marks a run cut short by graceful
+	// cancellation (a guard.Stopper fired or the wall budget ran out)
+	// rather than by completing its workload; the metric and fault
+	// ledgers cover the portion that ran. TruncateReason says why.
 	Truncated      bool   `json:"truncated,omitempty"`
 	TruncateReason string `json:"truncate_reason,omitempty"`
 
 	// Fault/recovery counters, omitted when zero so fault-free runs keep
-	// their historical JSON shape byte-for-byte.
+	// their historical JSON shape byte-for-byte. Failed counts requests
+	// abandoned after exhausting their retry budget; the accounting
+	// invariant under faults is Completed + Failed == Submitted.
 	Failed           int    `json:"failed,omitempty"`
 	FaultsInjected   uint64 `json:"faults_injected,omitempty"`
 	Retries          uint64 `json:"retries,omitempty"`
@@ -618,7 +555,12 @@ type Summary struct {
 
 	// Adaptive-ladder ledger, omitted entirely (empty/zero) when
 	// Spec.SRC.Adaptive is off so non-adaptive summaries keep their
-	// historical JSON shape byte-for-byte.
+	// historical JSON shape byte-for-byte: every per-target ladder
+	// transition merged in time order, the retraining counters summed
+	// across targets, and the run's time-to-recover — from the first
+	// severe descent (ModelFree or Static: the model is out of the loop)
+	// until every target that left Predictive is back on it
+	// (AdaptRecovered false when the run ends still degraded).
 	Ladder         []LadderStep `json:"ladder,omitempty"`
 	Retrains       uint64       `json:"adapt_retrains,omitempty"`
 	Promotions     uint64       `json:"adapt_promotions,omitempty"`
@@ -626,62 +568,13 @@ type Summary struct {
 	AdaptRecovered bool         `json:"adapt_recovered,omitempty"`
 	AdaptRecoverMs float64      `json:"adapt_recover_ms,omitempty"`
 
-	// Ctrl is the in-band control plane's ledger, omitted entirely when
-	// Spec.Ctrl is off so plane-less summaries keep their historical JSON
-	// shape byte-for-byte.
+	// Ctrl is the in-band control plane's ledger, omitted entirely on the
+	// ideal channel (Spec.Ctrl off), which keeps none.
 	Ctrl *ctrlplane.Ledger `json:"ctrl,omitempty"`
 
-	// Metrics is present only when the run had a registry attached, so
-	// uninstrumented runs keep their historical JSON shape byte-for-byte.
+	// Metrics is the registry snapshot taken after the end-of-run flush,
+	// present only when the run had Spec.Metrics attached.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// Summary digests the result for JSON output.
-func (r *Result) Summary() Summary {
-	return Summary{
-		Mode:           r.Mode.String(),
-		DurationMs:     r.Duration.Millis(),
-		ReadGbps:       r.MeanReadGbps,
-		WriteGbps:      r.MeanWriteGbps,
-		AggregatedGbps: r.AggregatedGbps,
-		Completed:      r.Completed,
-		Submitted:      r.Submitted,
-		CNPs:           r.TotalCNPs,
-		ECNMarks:       r.TotalECNMarks,
-		PFCPauses:      r.TotalPFCPauses,
-		ReadLatP50Ms:   r.ReadLatencyP50Ms,
-		ReadLatP99Ms:   r.ReadLatencyP99Ms,
-		WriteLatP50Ms:  r.WriteLatencyP50Ms,
-		WriteLatP99Ms:  r.WriteLatencyP99Ms,
-		WeightEvents:   len(r.WeightEvents),
-
-		Truncated:      r.Truncated,
-		TruncateReason: r.TruncateReason,
-
-		Failed:           r.Failed,
-		FaultsInjected:   r.FaultsInjected,
-		Retries:          r.Retries,
-		Timeouts:         r.Timeouts,
-		StaleResponses:   r.StaleResponses,
-		DupsDropped:      r.DupsDropped,
-		DroppedPackets:   r.DroppedPackets,
-		CorruptedPackets: r.CorruptedPackets,
-		RouteDrops:       r.RouteDrops,
-		WatchdogTrips:    r.WatchdogTrips,
-		ForcedPauses:     r.ForcedPauses,
-		LinkDowns:        r.LinkDowns,
-
-		Ladder:         r.Ladder,
-		Retrains:       r.Retrains,
-		Promotions:     r.Promotions,
-		Rejections:     r.Rejections,
-		AdaptRecovered: r.AdaptRecovered,
-		AdaptRecoverMs: r.AdaptRecoverMs,
-
-		Ctrl: r.Ctrl,
-
-		Metrics: r.Metrics,
-	}
 }
 
 // Digest is the deterministic machine-readable core of a Result: the
@@ -700,7 +593,7 @@ type Digest struct {
 
 // Digest extracts the deterministic digest of the result.
 func (r *Result) Digest() Digest {
-	s := r.Summary()
+	s := r.Summary
 	s.Metrics = nil
 	return Digest{
 		Summary:   s,
@@ -708,20 +601,6 @@ func (r *Result) Digest() Digest {
 		WriteGbps: r.WriteGbps,
 		Pauses:    r.Pauses,
 	}
-}
-
-// WriteJSON writes the result summary as indented JSON.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Summary())
-}
-
-// WriteJSONFile writes the summary to path crash-safely (temp file +
-// atomic rename): an interrupt mid-write can never leave a truncated
-// JSON artifact at the destination.
-func (r *Result) WriteJSONFile(path string) error {
-	return atomicio.WriteFile(path, r.WriteJSON)
 }
 
 // CompareModes runs the same trace under DCQCN-only and DCQCN-SRC

@@ -135,7 +135,25 @@ type Controller struct {
 	// nil unless Cfg.Adaptive.Enabled (see adaptive.go).
 	adaptive *adaptiveState
 
+	// prior holds the recorder counters of the incarnations this
+	// controller replaced (see Succeed).
+	prior struct{ adjustments, retrains, promotions float64 }
+
 	obs *ctlObs
+}
+
+// Succeed makes c the replacement incarnation of prev (a control-plane
+// failover or restart rebuilds a target's controller): c's
+// flight-recorder counters continue from prev's totals, so
+// src_adjustments, src_retrains and src_promotions never rewind. The
+// event ledgers themselves stay per incarnation.
+func (c *Controller) Succeed(prev *Controller) {
+	c.prior = prev.prior
+	c.prior.adjustments += float64(len(prev.Events))
+	if a := prev.adaptive; a != nil {
+		c.prior.retrains += float64(a.retrains)
+		c.prior.promotions += float64(a.promotions)
+	}
 }
 
 // ctlObs holds observability handles resolved by Instrument; nil when
@@ -364,14 +382,14 @@ func (c *Controller) SampleSeries(track string, emit timeseries.Emit) {
 		degraded = 1
 	}
 	emit(track, "src_degraded", timeseries.Gauge, degraded)
-	emit(track, "src_adjustments", timeseries.Counter, float64(len(c.Events)))
+	emit(track, "src_adjustments", timeseries.Counter, c.prior.adjustments+float64(len(c.Events)))
 	emit(track, "src_demand_gbps", timeseries.Gauge, c.lastDemand/1e9)
 	if a := c.adaptive; a != nil {
 		// Adaptive-only series: emitted only when the ladder is armed so
 		// recorder output on non-adaptive runs is unchanged.
 		emit(track, "src_ladder_state", timeseries.Gauge, float64(a.state))
-		emit(track, "src_retrains", timeseries.Counter, float64(a.retrains))
-		emit(track, "src_promotions", timeseries.Counter, float64(a.promotions))
+		emit(track, "src_retrains", timeseries.Counter, c.prior.retrains+float64(a.retrains))
+		emit(track, "src_promotions", timeseries.Counter, c.prior.promotions+float64(a.promotions))
 		emit(track, "src_window_samples", timeseries.Gauge, float64(a.window.Len()))
 		emit(track, "src_pred_err_mean", timeseries.Gauge, a.errs.AggErr())
 	}

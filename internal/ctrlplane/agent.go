@@ -1,9 +1,6 @@
 package ctrlplane
 
-import (
-	"srcsim/internal/sim"
-	"srcsim/internal/trace"
-)
+import "srcsim/internal/sim"
 
 // Lease states of an agent, in degradation order.
 const (
@@ -138,28 +135,14 @@ func (a *agent) ack(epoch, seq uint64) {
 func (a *agent) leaseAge(now sim.Time) sim.Time { return now - a.lastSeen }
 
 // publisher is the data-plane side of one target's telemetry feed: it
-// buffers monitored requests and flushes them as one batched message
-// per TelemetryEvery, and forwards demanded-rate events immediately.
-// Both are fire-and-forget — telemetry is dense enough that loss is
-// absorbed by the monitor window, unlike directives.
+// buffers monitored requests (Plane.Record) and flushes them as one
+// batched message per TelemetryEvery. Telemetry is fire-and-forget, like
+// rate events — it is dense enough that loss is absorbed by the monitor
+// window, unlike directives.
 type publisher struct {
 	p   *Plane
 	t   int
 	buf []telemetryRec
-}
-
-// Record buffers one monitored request (the in-band replacement for the
-// direct Monitor.Record call).
-func (pb *publisher) Record(req trace.Request, at sim.Time) {
-	pb.buf = append(pb.buf, telemetryRec{req: req, at: at})
-}
-
-// RateEvent forwards one demanded-rate notification (the in-band
-// replacement for the direct OnRateEvent call).
-func (pb *publisher) RateEvent(demand float64) {
-	p := pb.p
-	p.led.RateEvents++
-	p.send(message{kind: msgRate, target: pb.t, demand: demand})
 }
 
 // flush ships the buffered batch.

@@ -1,15 +1,16 @@
-// Package ctrlplane is the in-band SRC control plane: the telemetry
-// reports and weight directives that internal/cluster used to hand the
-// controller as direct function calls become simulated messages on a
+// Package ctrlplane is the route between each storage target and its
+// SRC controller: the demanded-rate events and monitored requests go to
+// the controller, and its weight decisions go back to the target's SSQ.
+// In band, those reports and directives become simulated messages on a
 // configurable channel with a fixed base delay, a congestion-coupled
 // delay component derived from fabric load, and seeded deterministic
 // loss and reordering.
 //
 // The plane hosts one logical controller process (a primary and an
 // optional standby) for a cluster's per-target core.Controller
-// instances. Each target gets a Publisher (the data-plane side that
-// batches telemetry and forwards rate events) and an Agent (the
-// target-resident weight applier that owns the real SSQ sink). Weight
+// instances. In band, each target gets a publisher (the data-plane side
+// that batches telemetry; rate events go out immediately) and an agent
+// (the target-resident weight applier that owns the real SSQ sink). Weight
 // directives carry (epoch, seq) numbers so stale or reordered
 // directives are rejected; they are acknowledged and retransmitted with
 // deterministic exponential backoff up to a capped retry budget.
@@ -20,9 +21,11 @@
 // controllers) and bumps the epoch, fencing directives and acks from
 // the dead primary.
 //
-// The zero Config disables everything: cluster wiring falls back to the
-// historical direct calls, so control-plane-off runs stay byte-identical
-// to earlier builds.
+// The zero Config is the ideal channel: a synchronous pass-through with
+// no messages, no ledger, no tickers, no metrics and no recorder track.
+// Record and RateEvent call the target's controller directly, and the
+// controller drives the real SSQ group. Every cluster reaches its SRC
+// controllers through a Plane; only the channel differs.
 package ctrlplane
 
 import (
@@ -34,11 +37,11 @@ import (
 )
 
 // Config tunes the control channel and the liveness machinery. The zero
-// value means "no control plane" (direct calls); every other field has
-// a default filled by withDefaults.
+// value is the ideal channel (synchronous direct calls); with Enabled
+// set, every other field has a default filled by withDefaults.
 type Config struct {
-	// Enabled turns the in-band control plane on. False (the zero
-	// value) keeps the historical direct-call wiring byte-for-byte.
+	// Enabled turns the in-band channel on. False (the zero value)
+	// selects the ideal channel.
 	Enabled bool `json:"enabled,omitempty"`
 
 	// BaseDelay is the fixed one-way message delay (default 20 µs).
@@ -210,8 +213,7 @@ type Plane struct {
 	pendingDirs     int
 	appliedEpochMax uint64
 
-	o       *planeObs
-	started bool
+	o *planeObs
 
 	// Precomputed per-target sample-series names (the per-sample path
 	// must not format strings).
@@ -221,29 +223,31 @@ type Plane struct {
 
 // New builds a plane for targets agents. load, when non-nil, reports
 // total switch-queued bytes for the congestion-coupled delay component.
-// Register must be called once per target before Start.
+// Register must be called once per SRC target before Start.
 func New(eng *sim.Engine, cfg Config, targets int, load func() int64) *Plane {
-	cfg = cfg.withDefaults()
 	p := &Plane{
-		Cfg:         cfg,
-		eng:         eng,
-		rng:         sim.NewRNG(cfg.Seed ^ 0xC021201A11E),
-		load:        load,
-		epoch:       1,
-		agents:      make([]*agent, targets),
-		pubs:        make([]*publisher, targets),
-		sinks:       make([]*dirSink, targets),
-		active:      make([]*core.Controller, targets),
-		history:     make([][]*core.Controller, targets),
-		mk:          make([]func() *core.Controller, targets),
-		pend:        make([]map[uint64]*pending, targets),
-		lastTelemAt: make([]sim.Time, targets),
-		lossBoost:   make([]float64, targets),
-		delayFactor: make([]float64, targets),
-		partitioned: make([]bool, targets),
-		ageNames:    make([]string, targets),
-		stateNames:  make([]string, targets),
+		eng:     eng,
+		epoch:   1,
+		active:  make([]*core.Controller, targets),
+		history: make([][]*core.Controller, targets),
+		mk:      make([]func() *core.Controller, targets),
 	}
+	if !cfg.Enabled {
+		return p // the ideal channel needs only the controllers
+	}
+	p.Cfg = cfg.withDefaults()
+	p.rng = sim.NewRNG(p.Cfg.Seed ^ 0xC021201A11E)
+	p.load = load
+	p.agents = make([]*agent, targets)
+	p.pubs = make([]*publisher, targets)
+	p.sinks = make([]*dirSink, targets)
+	p.pend = make([]map[uint64]*pending, targets)
+	p.lastTelemAt = make([]sim.Time, targets)
+	p.lossBoost = make([]float64, targets)
+	p.delayFactor = make([]float64, targets)
+	p.partitioned = make([]bool, targets)
+	p.ageNames = make([]string, targets)
+	p.stateNames = make([]string, targets)
 	for t := 0; t < targets; t++ {
 		p.delayFactor[t] = 1
 		p.pend[t] = make(map[uint64]*pending)
@@ -254,30 +258,64 @@ func New(eng *sim.Engine, cfg Config, targets int, load func() int64) *Plane {
 	return p
 }
 
-// Targets returns the number of registered agent slots (the
-// faults.CtrlPlane selector range).
-func (p *Plane) Targets() int { return len(p.agents) }
+// Targets returns the number of target slots (the faults.CtrlPlane
+// selector range).
+func (p *Plane) Targets() int { return len(p.active) }
 
 // Register wires target t into the plane: real is the target's actual
-// weight sink (the SSQ group the agent applies directives to), and mk
-// builds one controller instance around the plane-provided directive
-// sink — called once now for the primary and again on every failover or
-// restart, so each incarnation re-seeds its monitor window. Returns the
-// primary's controller.
-func (p *Plane) Register(t int, real core.WeightSink, mk func(sink core.WeightSink) *core.Controller) *core.Controller {
-	ds := &dirSink{p: p, t: t, lastR: 1, lastW: 1}
-	p.sinks[t] = ds
-	p.agents[t] = &agent{p: p, t: t, sink: real}
-	p.pubs[t] = &publisher{p: p, t: t}
-	p.mk[t] = func() *core.Controller { return mk(ds) }
-	ctl := p.mk[t]()
-	p.active[t] = ctl
-	p.history[t] = append(p.history[t], ctl)
-	return ctl
+// weight sink (the SSQ group), and mk builds one controller instance
+// around the sink it is handed — called once now for the primary and
+// again on every failover or restart, so each incarnation re-seeds its
+// monitor window. On the ideal channel the controller drives real
+// directly; in band it gets the plane's directive sink and the agent
+// owns real.
+func (p *Plane) Register(t int, real core.WeightSink, mk func(sink core.WeightSink) *core.Controller) {
+	sink := real
+	if p.Cfg.Enabled {
+		ds := &dirSink{p: p, t: t, lastR: 1, lastW: 1}
+		p.sinks[t] = ds
+		p.agents[t] = &agent{p: p, t: t, sink: real}
+		p.pubs[t] = &publisher{p: p, t: t}
+		sink = ds
+	}
+	p.mk[t] = func() *core.Controller { return mk(sink) }
+	p.incarnate(t)
 }
 
-// Publisher returns target t's data-plane telemetry publisher.
-func (p *Plane) Publisher(t int) *publisher { return p.pubs[t] }
+// incarnate builds and activates target t's next controller
+// incarnation; it continues its predecessor's recorder counters.
+func (p *Plane) incarnate(t int) {
+	ctl := p.mk[t]()
+	if h := p.history[t]; len(h) > 0 {
+		ctl.Succeed(h[len(h)-1])
+	}
+	p.active[t] = ctl
+	p.history[t] = append(p.history[t], ctl)
+}
+
+// Record feeds one monitored request to target t's controller: straight
+// into its monitor on the ideal channel, into the next telemetry batch
+// in band.
+func (p *Plane) Record(t int, req trace.Request, at sim.Time) {
+	if !p.Cfg.Enabled {
+		p.active[t].Monitor.Record(req, at)
+		return
+	}
+	pb := p.pubs[t]
+	pb.buf = append(pb.buf, telemetryRec{req: req, at: at})
+}
+
+// RateEvent forwards one demanded-rate notification to target t's
+// controller: a direct call on the ideal channel, an immediate
+// fire-and-forget message in band.
+func (p *Plane) RateEvent(t int, demand float64) {
+	if !p.Cfg.Enabled {
+		p.active[t].OnRateEvent(p.eng.Now(), demand)
+		return
+	}
+	p.led.RateEvents++
+	p.send(message{kind: msgRate, target: t, demand: demand})
+}
 
 // Active returns target t's currently live controller instance, or nil
 // while the controller process is down (crashed primary, no takeover
@@ -305,10 +343,13 @@ func (p *Plane) controllerUp() bool {
 
 // Start schedules the plane's tickers (telemetry flush, heartbeats,
 // lease checks, the standby watchdog) and records the boot epoch. It
-// returns a stop function detaching everything.
+// returns a stop function detaching everything. The ideal channel
+// schedules nothing.
 func (p *Plane) Start() (stop func()) {
+	if !p.Cfg.Enabled {
+		return func() {}
+	}
 	now := p.eng.Now()
-	p.started = true
 	p.epochStep(now, "boot")
 	for _, a := range p.agents {
 		a.lastSeen = now
@@ -606,12 +647,9 @@ func (p *Plane) Restart() {
 // fresh incarnation (empty monitor window, clean adaptive state).
 func (p *Plane) rebuildControllers() {
 	for t := range p.active {
-		if p.mk[t] == nil {
-			continue
+		if p.mk[t] != nil {
+			p.incarnate(t)
 		}
-		ctl := p.mk[t]()
-		p.active[t] = ctl
-		p.history[t] = append(p.history[t], ctl)
 	}
 }
 

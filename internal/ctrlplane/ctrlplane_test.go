@@ -284,7 +284,7 @@ func TestPlaneDeterminism(t *testing.T) {
 			i := i
 			eng.Schedule(sim.Time(i)*30*sim.Microsecond, func() {
 				p.sinks[i%2].SetWeights(1, 1+i%6)
-				p.Publisher(i%2).Record(trace.Request{ID: uint64(i), Size: 4096}, eng.Now())
+				p.Record(i%2, trace.Request{ID: uint64(i), Size: 4096}, eng.Now())
 			})
 		}
 		eng.Schedule(600*sim.Microsecond, func() { p.Crash() })

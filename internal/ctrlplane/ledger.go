@@ -74,12 +74,16 @@ func (p *Plane) noteApplied(now sim.Time, epoch uint64) {
 }
 
 // LedgerSnapshot returns the ledger with the instantaneous channel
-// occupancy and epoch filled in.
-func (p *Plane) LedgerSnapshot() Ledger {
+// occupancy and epoch filled in; nil on the ideal channel, which keeps
+// none.
+func (p *Plane) LedgerSnapshot() *Ledger {
+	if !p.Cfg.Enabled {
+		return nil
+	}
 	led := p.led
 	led.Epoch = p.epoch
 	led.InFlight = p.chInFlight
-	return led
+	return &led
 }
 
 // AuditInvariants implements guard.Auditable: channel conservation, the
@@ -125,10 +129,10 @@ type planeObs struct {
 	epoch         *obs.Gauge
 }
 
-// Instrument attaches live metric counters (nil registry keeps every
-// hook a no-op).
+// Instrument attaches live metric counters (a nil registry or the
+// ideal channel keeps every hook a no-op).
 func (p *Plane) Instrument(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
+	if reg == nil || !p.Cfg.Enabled {
 		return
 	}
 	p.o = &planeObs{
@@ -149,8 +153,12 @@ func (p *Plane) Instrument(reg *obs.Registry, labels ...obs.Label) {
 // SampleSeries is the plane's flight-recorder probe: channel occupancy,
 // unacknowledged directives, the epoch, the loss/retry counters, and
 // each agent's lease age and state — control-plane lag rendered against
-// the same timeline as queue growth. Read-only.
+// the same timeline as queue growth. Read-only; the ideal channel emits
+// nothing.
 func (p *Plane) SampleSeries(now sim.Time, track string, emit timeseries.Emit) {
+	if !p.Cfg.Enabled {
+		return
+	}
 	emit(track, "ctrl_epoch", timeseries.Gauge, float64(p.epoch))
 	emit(track, "ctrl_inflight_msgs", timeseries.Gauge, float64(p.chInFlight))
 	emit(track, "ctrl_pending_directives", timeseries.Gauge, float64(p.pendingDirs))

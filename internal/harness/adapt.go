@@ -18,6 +18,7 @@ import (
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/core"
+	"srcsim/internal/ctrlplane"
 	"srcsim/internal/devrun"
 	"srcsim/internal/faults"
 	"srcsim/internal/nvmeof"
@@ -88,21 +89,30 @@ type AdaptResult struct {
 	RetainedPct float64 `json:"retained_pct"`
 }
 
+// oracleSpec derives the undisturbed comparison leg from an
+// experiment's spec: the caller's mods apply first (observability,
+// guards), then every disturbance is cleared — faults, retries,
+// adaptation, the staleness watchdog and the in-band channel — leaving
+// plain SRC over the ideal channel. A mod that faults or adapts (srcsim
+// -faults, -adapt) therefore never reaches the oracle.
+func oracleSpec(spec cluster.Spec, mods []func(*cluster.Spec)) cluster.Spec {
+	for _, m := range mods {
+		m(&spec)
+	}
+	spec.Faults = nil
+	spec.Retry = nvmeof.RetryPolicy{}
+	spec.SRC.Adaptive = core.AdaptiveConfig{}
+	spec.SRC.StaleAfter = 0
+	spec.Ctrl = ctrlplane.Config{}
+	return spec
+}
+
 // runAdapt executes one scenario: the adaptive leg on spec as given
-// (faults installed, ladder armed), then the oracle leg — identical
-// testbed and workload with no faults and no adaptation.
+// (faults installed, ladder armed), then the oracleSpec leg.
 func runAdapt(scenario string, spec cluster.Spec, tpm *core.TPM, tr *trace.Trace, mods ...func(*cluster.Spec)) (*AdaptResult, error) {
 	spec.Mode = cluster.DCQCNSRC
 	spec.TPM = tpm
-
-	// The oracle leg starts from the pristine spec: no faults, no
-	// retries, no adaptation, no staleness watchdog — plain SRC on an
-	// undisturbed testbed.
-	oracle := spec
-	oracle.Faults = nil
-	oracle.Retry = nvmeof.RetryPolicy{}
-	oracle.SRC.Adaptive = core.AdaptiveConfig{}
-	oracle.SRC.StaleAfter = 0
+	oracle := oracleSpec(spec, mods)
 
 	for _, m := range mods {
 		m(&spec)
@@ -116,9 +126,6 @@ func runAdapt(scenario string, spec cluster.Spec, tpm *core.TPM, tr *trace.Trace
 		return nil, fmt.Errorf("harness: %s adaptive leg: %w", scenario, err)
 	}
 
-	for _, m := range mods {
-		m(&oracle)
-	}
 	co, err := cluster.New(oracle)
 	if err != nil {
 		return nil, err
@@ -297,9 +304,9 @@ func AdaptFailover(tpm *core.TPM, requests int, seed uint64, mods ...func(*clust
 func FprintAdapt(w io.Writer, r *AdaptResult) {
 	fmt.Fprintf(w, "%s: chaos-adaptation scenario\n", r.Scenario)
 	fmt.Fprintf(w, "adaptive    read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Adaptive.Summary.ReadGbps, r.Adaptive.Summary.WriteGbps, r.Adaptive.Summary.AggregatedGbps)
+		r.Adaptive.Summary.MeanReadGbps, r.Adaptive.Summary.MeanWriteGbps, r.Adaptive.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "oracle      read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Oracle.Summary.ReadGbps, r.Oracle.Summary.WriteGbps, r.Oracle.Summary.AggregatedGbps)
+		r.Oracle.Summary.MeanReadGbps, r.Oracle.Summary.MeanWriteGbps, r.Oracle.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "retained %.1f%% of oracle | reached ModelFree: %v | recovered: %v",
 		r.RetainedPct, r.ReachedModelFree, r.Recovered)
 	if r.Recovered {

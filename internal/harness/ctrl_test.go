@@ -2,12 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/faults"
 	"srcsim/internal/guard"
+	"srcsim/internal/obs"
+	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/sim"
 )
 
 // TestCtrlFailoverArc runs the controller-crash experiment and checks
@@ -193,9 +198,11 @@ func TestCtrlFaultKindsAccounting(t *testing.T) {
 	}
 }
 
-// TestCtrlOffKeepsDirectWiring: the zero Ctrl config must build a
-// cluster with no plane — the direct-call wiring — and produce a
-// summary with no ctrl ledger, preserving historical JSON shape.
+// TestCtrlOffKeepsDirectWiring: the zero Ctrl config is the ideal
+// channel — direct calls with nothing of the in-band plane visible: no
+// ctrl ledger in the summary JSON (its historical shape), no ctrlplane
+// series in the registry and no ctrl recorder track, while the
+// controllers' own series are still sampled.
 func TestCtrlOffKeepsDirectWiring(t *testing.T) {
 	tpmCong, _ := testTPMs(t)
 	tr, err := VDITrace(7, 100)
@@ -205,6 +212,8 @@ func TestCtrlOffKeepsDirectWiring(t *testing.T) {
 	spec := CongestionSpec()
 	spec.Mode = cluster.DCQCNSRC
 	spec.TPM = tpmCong
+	spec.Metrics = obs.NewRegistry()
+	spec.Recorder = timeseries.New(sim.Millisecond, 0)
 	c, err := cluster.New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +225,156 @@ func TestCtrlOffKeepsDirectWiring(t *testing.T) {
 	if res.Ctrl != nil {
 		t.Fatal("control-plane ledger present with Ctrl disabled")
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(res.Summary)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "\"ctrl\"") {
+	if bytes.Contains(b, []byte(`"ctrl"`)) {
 		t.Fatal("summary JSON contains ctrl field with plane disabled")
+	}
+	for _, keys := range []map[string]float64{res.Metrics.Counters, res.Metrics.Gauges} {
+		for k := range keys {
+			if strings.Contains(k, "ctrlplane") {
+				t.Fatalf("registry has control-plane series %q on the ideal channel", k)
+			}
+		}
+	}
+	var weightSeries int
+	for _, s := range spec.Recorder.Dump(0) {
+		if strings.HasSuffix(s.Track, "/ctrl") || strings.HasPrefix(s.Name, "ctrl_") {
+			t.Fatalf("recorder has control-plane series %s %s on the ideal channel", s.Track, s.Name)
+		}
+		if s.Name == "src_weight_ratio" {
+			weightSeries++
+		}
+	}
+	if weightSeries != spec.Targets {
+		t.Fatalf("%d controller weight series recorded, want one per target (%d)", weightSeries, spec.Targets)
+	}
+}
+
+// TestPlaneRecorderFollowsIncarnations: a controller crash with a warm
+// standby rebuilds every target's controller, so a target's weight
+// events span several incarnations. The flight recorder's per-target
+// src_adjustments counter must follow all of them: its summed deltas
+// equal the target's adjust/degraded trace instants (which every
+// incarnation emits), and across targets the merged Result.WeightEvents.
+func TestPlaneRecorderFollowsIncarnations(t *testing.T) {
+	tpmCong, _ := testTPMs(t)
+	tr, err := VDITrace(7, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tr.Duration()
+	spec := ctrlSpec(d)
+	spec.TPM = tpmCong
+	spec.Ctrl.Standby = true
+	spec.Faults = &faults.Schedule{Events: []faults.Event{
+		{At: d / 4, Kind: faults.ControllerCrash, Where: "controller:0", Duration: d / 4},
+	}}
+	spec.Recorder = timeseries.New(0, 0)
+	spec.Trace = obs.NewTracer(0)
+	c, err := cluster.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ctrl == nil || res.Ctrl.Failovers == 0 {
+		t.Fatal("the crash never failed over to fresh controller incarnations")
+	}
+	if spec.Trace.Dropped() != 0 {
+		t.Fatal("trace ring overflowed; the instant count would be short")
+	}
+
+	recorded := make([]float64, spec.Targets)
+	for _, s := range spec.Recorder.Dump(0) {
+		var i int
+		if s.Name != "src_adjustments" {
+			continue
+		}
+		if _, err := fmt.Sscanf(s.Track, "DCQCN-SRC/t%d", &i); err != nil || s.Dropped != 0 {
+			t.Fatalf("unexpected src_adjustments series %+v", s)
+		}
+		for _, v := range s.V {
+			if v < 0 {
+				t.Fatalf("target %d src_adjustments rewound by %g", i, v)
+			}
+			recorded[i] += v
+		}
+	}
+	traced := make([]float64, spec.Targets)
+	for _, ev := range spec.Trace.Events() {
+		var i int
+		for _, prefix := range []string{"adjust ", "degraded "} {
+			if rest, ok := strings.CutPrefix(ev.Name, prefix); ok && ev.Phase == obs.PhaseInstant {
+				if _, err := fmt.Sscanf(rest, "t%d", &i); err != nil {
+					t.Fatalf("unexpected trace instant %q", ev.Name)
+				}
+				traced[i]++
+			}
+		}
+	}
+	var total float64
+	for i := range recorded {
+		if recorded[i] != traced[i] {
+			t.Errorf("target %d: recorder counted %g adjustments, its controllers made %g", i, recorded[i], traced[i])
+		}
+		total += recorded[i]
+	}
+	if total != float64(len(res.WeightEvents)) || total == 0 {
+		t.Errorf("recorder counted %g adjustments, Result.WeightEvents has %d", total, len(res.WeightEvents))
+	}
+}
+
+// TestOracleIgnoresFaultingMods: the undisturbed oracle legs of
+// adapt-aging and ctrl-failover must not pick up a caller's faults (as
+// srcsim -faults passes them): each oracle digest with a faulting mod
+// equals its digest without one. A ctrl-* fault would even fail the
+// oracle's installation, which has no in-band channel.
+func TestOracleIgnoresFaultingMods(t *testing.T) {
+	tpmCong, _ := testTPMs(t)
+	faulting := func(ev faults.Event) func(*cluster.Spec) {
+		return func(s *cluster.Spec) {
+			s.Faults = &faults.Schedule{Events: []faults.Event{ev}}
+			s.Retry = HangRetryPolicy()
+		}
+	}
+	oracleJSON := func(d cluster.Digest) string {
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	slow := faulting(faults.Event{At: sim.Millisecond, Kind: faults.SSDSlow, Where: "target:0",
+		Duration: 2 * sim.Millisecond, Factor: 6})
+	plainA, err := AdaptAging(tpmCong, 200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultedA, err := AdaptAging(tpmCong, 200, 7, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := oracleJSON(plainA.Oracle), oracleJSON(faultedA.Oracle); a != b {
+		t.Errorf("adapt-aging oracle re-faulted by a mod:\nplain:   %s\nfaulted: %s", a, b)
+	}
+
+	drop := faulting(faults.Event{At: sim.Millisecond, Kind: faults.CtrlDrop, Where: "target:0",
+		Duration: 2 * sim.Millisecond, Probability: 0.5})
+	plainC, err := CtrlFailover(tpmCong, 200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultedC, err := CtrlFailover(tpmCong, 200, 7, drop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := oracleJSON(plainC.Oracle), oracleJSON(faultedC.Oracle); a != b {
+		t.Errorf("ctrl-failover oracle re-faulted by a mod:\nplain:   %s\nfaulted: %s", a, b)
 	}
 }
