@@ -1,5 +1,7 @@
-// Command srcsim runs the integrated DCQCN-only versus DCQCN-SRC
-// experiments of the paper's evaluation. Experiments come from the
+// Command srcsim is the one front end of the simulator. It runs the
+// integrated DCQCN-only versus DCQCN-SRC experiments of the paper's
+// evaluation, generates and inspects workload traces, runs experiment
+// campaigns and compares their metrics. Experiments come from the
 // registry in internal/harness; `srcsim -list` enumerates them with
 // their tunable parameters and defaults.
 //
@@ -19,6 +21,18 @@
 //	srcsim -replay t.jsonl -format jsonl   (replay an open-format JSONL trace)
 //	srcsim -save-tpm tpm.bin        (write the congestion model for -tpm)
 //
+// Traces (the tracegen experiment; the trace goes to stdout):
+//
+//	srcsim -experiment tracegen -kind micro -count 5000 -ia 10us -size 32768 > trace.csv
+//	srcsim -experiment tracegen -kind synthetic -ia_scv 4 -acf 0.2 -size_scv 2 > bursty.csv
+//	srcsim -experiment tracegen -kind vdi -format jsonl > vdi.jsonl
+//	srcsim -experiment tracegen -file msr_trace.csv -format msr   (inspect a trace)
+//
+// Campaigns and metric diffs:
+//
+//	srcsim -campaign paper.json -out out/ [-resume]
+//	srcsim -diff [-rel 0.01] [-json] A B
+//
 // Every parameter an experiment declares (see -list) is a string flag
 // of the same name; an explicitly set flag overrides the chosen
 // experiment's default and is ignored by experiments that do not declare
@@ -33,6 +47,24 @@
 // (SRCSIM_TPM_CACHE=off disables, SRCSIM_TPM_CACHE=<dir> relocates;
 // default is <tmp>/srcsim-cache).
 //
+// A campaign spec (see internal/sweep and EXPERIMENTS.md) names
+// registered experiments with parameter grids; -campaign expands it
+// into jobs, runs them on GOMAXPROCS workers (or the spec's "workers")
+// and writes under -out: manifest.json (crash-safe checkpoint),
+// jobs/<id>.json, report.txt, aggregate.json, metrics.json (the merged
+// cross-job metrics snapshot) and progress.jsonl (the run-local
+// job-transition log). Finished jobs and trained models share the
+// SRCSIM_TPM_CACHE artifact cache, so re-running an unchanged campaign
+// is all cache hits and reproduces the outputs byte for byte. -resume
+// continues a stopped campaign in -out with a byte-identical final
+// report.
+//
+// -diff compares two metric sources, each a metrics.json snapshot
+// (srcsim -metrics, campaign output) or a campaign output directory.
+// Counters and gauges compare directly, histograms per digest field; a
+// series present on one side only always breaches. -rel tolerates that
+// much relative drift; -json prints the whole diff.
+//
 // Observability (any cluster experiment):
 //
 //	-metrics out.json         write a metrics-registry snapshot
@@ -44,7 +76,7 @@
 //	-record-interval 100us    flight-recorder sample period (sim time)
 //	-record-cap 16384         ring capacity per recorded series
 //	-serve :8080              live inspector: /metrics (Prometheus text),
-//	                          /series (recorder JSON), /progress
+//	                          /series (recorder JSON), /progress (campaigns)
 //	-serve-grace 5s           keep the inspector up after the run (wall time)
 //	-progress 100ms           periodic status line on stderr (sim-time interval)
 //
@@ -65,18 +97,20 @@
 //
 // SIGINT/SIGTERM also truncate gracefully: the current run drains at the
 // next event boundary and partial results (marked "truncated") plus all
-// -metrics/-trace artifacts are still written. All file artifacts are
+// -metrics/-trace artifacts are still written. A stopped campaign keeps
+// its finished jobs; -resume completes the rest. All file artifacts are
 // written atomically (temp file + rename), so an interrupted run never
 // leaves a half-written file.
 //
 // Exit codes:
 //
-//	0  success
-//	1  configuration, I/O, or internal error
-//	2  guard failure: liveness stall (diagnostic dump on stderr) or
-//	   conservation-invariant violation
-//	3  run truncated (SIGINT, SIGTERM, or -max-wall); partial results
-//	   and artifacts were written
+//	0  success: run completed, every campaign job done, or no diff breach
+//	1  usage, configuration, I/O or internal error, or a failed campaign job
+//	2  a check failed: liveness stall (diagnostic dump on stderr),
+//	   conservation-invariant violation, or a -diff breach (the table on
+//	   stdout, most divergent first)
+//	3  run or campaign truncated (SIGINT, SIGTERM, or -max-wall); partial
+//	   results and artifacts were written
 package main
 
 import (
@@ -105,13 +139,14 @@ import (
 	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/scenario"
 	"srcsim/internal/sim"
+	"srcsim/internal/sweep"
 )
 
 // Exit codes; keep in sync with the package comment and README.
 const (
 	exitOK        = 0
 	exitError     = 1
-	exitGuard     = 2
+	exitCheck     = 2
 	exitTruncated = 3
 )
 
@@ -131,12 +166,12 @@ func fail(err error) int {
 			fmt.Fprintln(os.Stderr, "guard dump:")
 			se.Dump.WriteTo(os.Stderr)
 		}
-		return exitGuard
+		return exitCheck
 	}
 	var ve *guard.ViolationError
 	if errors.As(err, &ve) {
 		log.Print(err)
-		return exitGuard
+		return exitCheck
 	}
 	log.Print(err)
 	return exitError
@@ -166,6 +201,54 @@ func defineParamFlags(fs *flag.FlagSet) {
 	}
 }
 
+// govern starts what every simulating mode shares: one Stopper fired by
+// SIGINT/SIGTERM or the -max-wall budget (a second signal falls through
+// to the default handler and kills the process) and, when addr is set,
+// the live inspector. stop releases both, first holding the inspector
+// up for grace so scrapers racing a short run still see the final state.
+func govern(maxWall time.Duration, addr string, grace time.Duration) (stopper *guard.Stopper, board *live.Board, stop func(), err error) {
+	stopper = guard.NewStopper()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	go func() {
+		select {
+		case s := <-sigc:
+			signal.Stop(sigc)
+			fmt.Fprintf(os.Stderr, "srcsim: %v: truncating run (again to kill)\n", s)
+			stopper.Stop(fmt.Sprintf("signal: %v", s))
+		case <-done:
+		}
+	}()
+	var timer *time.Timer
+	if maxWall > 0 {
+		timer = time.AfterFunc(maxWall, func() {
+			stopper.Stop(fmt.Sprintf("wall budget %v exceeded", maxWall))
+		})
+	}
+	var srv *live.Server
+	stop = func() {
+		if srv != nil {
+			time.Sleep(grace)
+			srv.Close()
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		close(done)
+		signal.Stop(sigc)
+	}
+	if addr != "" {
+		board = live.NewBoard()
+		if srv, err = live.Serve(addr, board); err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "live inspector on http://%s (/metrics, /series, /progress)\n", srv.Addr())
+	}
+	return stopper, board, stop, nil
+}
+
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("srcsim", flag.ContinueOnError)
 	experiment := fs.String("experiment", "fig7", "registered experiment to run (see -list)")
@@ -174,9 +257,14 @@ func run(args []string, stdout io.Writer) int {
 	listScenarios := fs.Bool("list-scenarios", false, "list the built-in composed scenario library and exit")
 	scenarioName := fs.String("scenario", "", "run a library scenario by name, or a scenario spec by .json path (shorthand for -experiment scenario; see -list-scenarios)")
 	replayFile := fs.String("replay", "", "replay a trace file on the Sec. IV-D testbed (shorthand for -experiment replay -file F)")
+	campaign := fs.String("campaign", "", "run the experiment campaign in this spec file (JSON, see internal/sweep); needs -out")
+	outDir := fs.String("out", "", "campaign output directory")
+	resume := fs.Bool("resume", false, "continue the campaign in -out: skip jobs whose artifacts are already on disk")
+	diff := fs.Bool("diff", false, "compare the metrics of the two sources given as arguments (metrics.json or a campaign output directory); exit 2 on a breach")
+	rel := fs.Float64("rel", 0, "-diff relative-change tolerance: |b-a|/max(|a|,|b|) at or below this never breaches (0 = any change breaches)")
 	seed := fs.Uint64("seed", 7, "congestion-model training seed (trains with seed^0xbeef); also overrides the experiment's seed param when set")
 	trainCount := fs.Int("train", 1500, "per-direction request count for congestion-model training runs; also overrides the experiment's train param when set")
-	jsonOut := fs.Bool("json", false, "print the experiment's machine-readable data (JSON) instead of its text")
+	jsonOut := fs.Bool("json", false, "print the experiment's machine-readable data (JSON) instead of its text; with -diff, the full diff")
 	tpmPath := fs.String("tpm", "", "load a pre-trained congestion TPM (from -save-tpm) instead of training")
 	saveTPM := fs.String("save-tpm", "", "write the congestion TPM this invocation would use (cached or trained, or -tpm) to this path and exit")
 	faultsFile := fs.String("faults", "", "load a fault-injection schedule (JSON, see internal/faults) and replay it into every cluster run")
@@ -186,12 +274,12 @@ func run(args []string, stdout io.Writer) int {
 	recordOut := fs.String("record", "", "write the flight-recorder congestion timeline to this file (.csv long format, .jsonl columnar, anything else Chrome-trace counter JSON)")
 	recordInterval := fs.Duration("record-interval", 100*time.Microsecond, "flight-recorder sample period in sim time")
 	recordCap := fs.Int("record-cap", timeseries.DefaultCapacity, "flight-recorder ring capacity (max samples kept per series)")
-	serveAddr := fs.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress) on this address during the run, e.g. :8080")
+	serveAddr := fs.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress campaign JSON) on this address during the run, e.g. :8080")
 	serveGrace := fs.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the run finishes before exiting")
 	progressEvery := fs.Duration("progress", 0, "print a progress line to stderr every interval of sim time (e.g. 100ms; 0 disables)")
 	audit := fs.Bool("audit", true, "run the conservation auditor on every cluster run (read-only; a violation fails the run)")
 	stallHorizon := fs.Duration("stall-horizon", 0, "arm the liveness watchdog: fail with a diagnostic dump if the oldest in-flight command exceeds this sim-time age with no progress (0 disables)")
-	maxWall := fs.Duration("max-wall", 0, "truncate the run gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
+	maxWall := fs.Duration("max-wall", 0, "truncate the run or campaign gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
 	defineParamFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -213,6 +301,21 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Fprintf(stdout, "%-22s %s\n", sc.Name, sc.Title)
 		}
 		return exitOK
+	}
+	if *diff {
+		return runDiff(fs.Args(), *rel, *jsonOut, stdout)
+	}
+	if *campaign != "" {
+		if *outDir == "" {
+			log.Print("-campaign needs -out")
+			return exitError
+		}
+		stopper, board, stop, err := govern(*maxWall, *serveAddr, *serveGrace)
+		if err != nil {
+			return fail(err)
+		}
+		defer stop()
+		return runCampaign(*campaign, *outDir, *resume, stopper, board)
 	}
 
 	// getTPM resolves the congestion model, lazily: -tpm loads a
@@ -289,32 +392,6 @@ func run(args []string, stdout io.Writer) int {
 		return exitError
 	}
 
-	// Graceful cancellation: SIGINT/SIGTERM and -max-wall share one
-	// Stopper; the cluster drains at the next event boundary and the
-	// partial result is marked truncated. A second signal falls through
-	// to the default handler and kills the process.
-	stopper := guard.NewStopper()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case s := <-sigc:
-			signal.Stop(sigc)
-			fmt.Fprintf(os.Stderr, "srcsim: %v: truncating run (again to kill)\n", s)
-			stopper.Stop(fmt.Sprintf("signal: %v", s))
-		case <-done:
-		}
-	}()
-	if *maxWall > 0 {
-		timer := time.AfterFunc(*maxWall, func() {
-			stopper.Stop(fmt.Sprintf("wall budget %v exceeded", *maxWall))
-		})
-		defer timer.Stop()
-	}
-
 	var faultSched *faults.Schedule
 	if *faultsFile != "" {
 		var err error
@@ -324,6 +401,15 @@ func run(args []string, stdout io.Writer) int {
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d fault events from %s\n", len(faultSched.Events), *faultsFile)
 	}
+
+	// Graceful cancellation: the cluster drains at the next event
+	// boundary once the stopper fires and the partial result is marked
+	// truncated.
+	stopper, board, stop, err := govern(*maxWall, *serveAddr, *serveGrace)
+	if err != nil {
+		return fail(err)
+	}
+	defer stop()
 
 	// Shared observability sinks, attached to every cluster run via the
 	// harness spec mods; nil values keep all hooks no-ops.
@@ -338,21 +424,6 @@ func run(args []string, stdout io.Writer) int {
 	var recorder *timeseries.Recorder
 	if *recordOut != "" || *serveAddr != "" {
 		recorder = timeseries.New(sim.Time(*recordInterval), *recordCap)
-	}
-	var board *live.Board
-	if *serveAddr != "" {
-		board = live.NewBoard()
-		srv, err := live.Serve(*serveAddr, board)
-		if err != nil {
-			return fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live inspector on http://%s (/metrics, /series, /progress)\n", srv.Addr())
-		if *serveGrace > 0 {
-			// Hold the inspector up after the run so scrapers racing a
-			// short run still see the final state.
-			defer time.Sleep(*serveGrace)
-		}
 	}
 	withObs := func(s *cluster.Spec) {
 		s.Metrics = reg
@@ -384,7 +455,7 @@ func run(args []string, stdout io.Writer) int {
 		return fail(err)
 	}
 	if *jsonOut {
-		// The same bytes the sweep orchestrator stores per job.
+		// The same bytes a campaign stores per job.
 		b, err := json.Marshal(out.Data)
 		if err != nil {
 			return fail(err)
@@ -432,6 +503,40 @@ func run(args []string, stdout io.Writer) int {
 	if stopper.Stopped() {
 		log.Printf("run truncated: %s", stopper.Reason())
 		return exitTruncated
+	}
+	return exitOK
+}
+
+// runCampaign runs a campaign spec into out. Finished jobs and trained
+// models share the SRCSIM_TPM_CACHE artifact cache; a stopper firing
+// drains running jobs and keeps finished ones for -resume.
+func runCampaign(path, out string, resume bool, stopper *guard.Stopper, board *live.Board) int {
+	spec, err := sweep.LoadCampaign(path)
+	if err != nil {
+		return fail(err)
+	}
+	runner := &sweep.Runner{
+		Out:    out,
+		Cache:  devrun.TPMCacheFromEnv(),
+		Stop:   stopper,
+		Resume: resume,
+		Log:    os.Stderr,
+		Board:  board,
+	}
+	rep, err := runner.Run(spec)
+	if err != nil {
+		return fail(err)
+	}
+	log.Printf("%s: %d/%d done (failed %d, resumed %d) | cache hits: %d/%d",
+		rep.Campaign, rep.Done+rep.Resumed, rep.Total, rep.Failed, rep.Resumed, rep.CacheHits, rep.Executed)
+	log.Printf("outputs in %s (report.txt, aggregate.json, metrics.json, manifest.json)", rep.OutDir)
+	if rep.Truncated {
+		log.Printf("campaign truncated: %s (use -resume to finish)", stopper.Reason())
+		return exitTruncated
+	}
+	if rep.Failed > 0 {
+		log.Printf("%d job(s) failed; see manifest.json", rep.Failed)
+		return exitError
 	}
 	return exitOK
 }

@@ -62,9 +62,6 @@ func TestTPMAccuracyOnOtherDevices(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a TPM per device; skipped with -short")
 	}
-	if testing.Short() {
-		t.Skip("cross-device TPM training is slow")
-	}
 	for _, cfg := range []ssd.Config{ssd.ConfigB(), ssd.ConfigC()} {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {

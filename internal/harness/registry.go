@@ -2,8 +2,8 @@ package harness
 
 // The experiment registry: every paper experiment is registered as an
 // enumerable spec with named, defaulted, string-typed parameters and a
-// uniform run signature, so front-ends (cmd/srcsim, cmd/sweep, the
-// campaign orchestrator in internal/sweep) can list, validate, and run
+// uniform run signature, so front-ends (cmd/srcsim and the campaign
+// orchestrator in internal/sweep it drives) can list, validate, and run
 // any experiment without a per-experiment switch. Registered Run
 // functions must be deterministic functions of (params, shared TPM):
 // the sweep cache content-addresses their output by exactly those
@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,7 +222,7 @@ func ExperimentNames() []string {
 
 // FprintExperiments renders the registry: every experiment with its
 // model dependency and tunable parameters with defaults (the output of
-// `srcsim -list` and `sweep -list`).
+// `srcsim -list`).
 func FprintExperiments(w io.Writer) {
 	fmt.Fprintln(w, "registered experiments:")
 	for _, e := range experiments {
@@ -750,7 +749,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			tr, err := loadTrace(p["file"], p["format"])
+			tr, err := trace.ReadFile(p["file"], p["format"])
 			if err != nil {
 				return nil, err
 			}
@@ -771,25 +770,6 @@ func init() {
 			}, nil
 		},
 	})
-}
-
-// loadTrace reads a trace file in the named format.
-func loadTrace(path, format string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch format {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "msr":
-		return trace.ReadMSR(f)
-	case "jsonl":
-		return trace.ReadJSONL(f)
-	default:
-		return nil, fmt.Errorf("harness: unknown trace format %q (want csv, msr, or jsonl)", format)
-	}
 }
 
 // FprintReplay renders the paired replay summary, one line per mode

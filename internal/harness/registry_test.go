@@ -15,7 +15,7 @@ import (
 func TestRegistryListing(t *testing.T) {
 	want := []string{"fig2", "fig5", "fig7", "fig9", "fig10", "table1", "table3", "table4",
 		"importance", "chaos-soak", "adapt-aging", "adapt-phase", "adapt-failover",
-		"ctrl-degradation", "ctrl-failover", "cc-matrix", "clos-scale", "replay", "scenario"}
+		"ctrl-degradation", "ctrl-failover", "cc-matrix", "clos-scale", "replay", "scenario", "tracegen"}
 	got := ExperimentNames()
 	if len(got) != len(want) {
 		t.Fatalf("registered %v, want %v", got, want)

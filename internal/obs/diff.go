@@ -47,32 +47,19 @@ type DiffEntry struct {
 	Breach bool `json:"breach"`
 }
 
-// DiffOptions configures breach detection. The zero value is the
-// strictest gate: any difference at all (including a series present on
-// only one side) is a breach.
-type DiffOptions struct {
-	// Rel is the relative-change tolerance: entries with
-	// Rel <= this never breach.
-	Rel float64
-	// Abs is the absolute-change tolerance: entries with
-	// Abs <= this never breach (applied after Rel — both must be
-	// exceeded).
-	Abs float64
-	// IgnoreMissing downgrades series present on only one side from
-	// breach to informational.
-	IgnoreMissing bool
-}
-
 // Diff is the result of comparing two flattened snapshots.
 type Diff struct {
 	Entries  []DiffEntry `json:"entries"`
 	Breaches int         `json:"breaches"`
 }
 
-// DiffSnapshots compares run A against run B. Identical entries are
-// omitted; the rest are sorted most-divergent first (by Rel, then Abs,
-// then key), with missing-on-one-side entries ranked as fully divergent.
-func DiffSnapshots(a, b Snapshot, opt DiffOptions) Diff {
+// DiffSnapshots compares run A against run B. An entry breaches when its
+// Rel exceeds the relative tolerance rel (0 is the strictest gate: any
+// change breaches) or its series is present on only one side. Identical
+// entries are omitted; the rest are sorted most-divergent first (by Rel,
+// then Abs, then key), with missing-on-one-side entries ranked as fully
+// divergent.
+func DiffSnapshots(a, b Snapshot, rel float64) Diff {
 	fa, fb := FlattenSnapshot(a), FlattenSnapshot(b)
 	keys := make(map[string]struct{}, len(fa)+len(fb))
 	for k := range fa {
@@ -91,7 +78,7 @@ func DiffSnapshots(a, b Snapshot, opt DiffOptions) Diff {
 		case !oka || !okb:
 			e.Abs = math.Abs(vb - va)
 			e.Rel = 1
-			e.Breach = !opt.IgnoreMissing
+			e.Breach = true
 		default:
 			e.Abs = math.Abs(vb - va)
 			if e.Abs == 0 {
@@ -100,7 +87,7 @@ func DiffSnapshots(a, b Snapshot, opt DiffOptions) Diff {
 			if m := math.Max(math.Abs(va), math.Abs(vb)); m > 0 {
 				e.Rel = e.Abs / m
 			}
-			e.Breach = e.Rel > opt.Rel && e.Abs > opt.Abs
+			e.Breach = e.Rel > rel
 		}
 		if e.Breach {
 			d.Breaches++

@@ -45,19 +45,19 @@ func TestFlattenSnapshot(t *testing.T) {
 
 // TestDiffIdentical: identical snapshots produce an empty diff.
 func TestDiffIdentical(t *testing.T) {
-	d := DiffSnapshots(diffSnapA(), diffSnapA(), DiffOptions{})
+	d := DiffSnapshots(diffSnapA(), diffSnapA(), 0)
 	if len(d.Entries) != 0 || d.Breaches != 0 {
 		t.Fatalf("identical snapshots diff: %+v", d)
 	}
 }
 
-// TestDiffThresholds: the zero options breach on any change; rel/abs
-// tolerances suppress small drift; both gates must be exceeded.
+// TestDiffThresholds: a zero tolerance breaches on any change; a
+// relative tolerance suppresses small drift.
 func TestDiffThresholds(t *testing.T) {
 	b := diffSnapA()
 	b.Counters["netsim/ecn_marks"] = 101 // +1%
 
-	d := DiffSnapshots(diffSnapA(), b, DiffOptions{})
+	d := DiffSnapshots(diffSnapA(), b, 0)
 	if d.Breaches != 1 || len(d.Entries) != 1 {
 		t.Fatalf("strict diff: %+v", d)
 	}
@@ -71,30 +71,25 @@ func TestDiffThresholds(t *testing.T) {
 	}
 
 	// 2% relative tolerance absorbs a 1% change (entry still reported).
-	d = DiffSnapshots(diffSnapA(), b, DiffOptions{Rel: 0.02})
+	d = DiffSnapshots(diffSnapA(), b, 0.02)
 	if d.Breaches != 0 || len(d.Entries) != 1 {
 		t.Fatalf("tolerant diff: %+v", d)
 	}
-	// An absolute floor above the delta also absorbs it.
-	d = DiffSnapshots(diffSnapA(), b, DiffOptions{Abs: 1})
-	if d.Breaches != 0 {
-		t.Fatalf("abs-tolerant diff: %+v", d)
-	}
-	// Both thresholds exceeded -> breach.
-	d = DiffSnapshots(diffSnapA(), b, DiffOptions{Rel: 0.005, Abs: 0.5})
+	// A tolerance below the change still breaches.
+	d = DiffSnapshots(diffSnapA(), b, 0.005)
 	if d.Breaches != 1 {
-		t.Fatalf("both-exceeded diff: %+v", d)
+		t.Fatalf("exceeded diff: %+v", d)
 	}
 }
 
-// TestDiffMissingSeries: one-sided series are fully divergent breaches
-// unless IgnoreMissing downgrades them.
+// TestDiffMissingSeries: one-sided series are fully divergent breaches,
+// whatever the tolerance.
 func TestDiffMissingSeries(t *testing.T) {
 	b := diffSnapA()
 	delete(b.Counters, "netsim/pfc_pauses")
 	b.Gauges["core/degraded"] = 1
 
-	d := DiffSnapshots(diffSnapA(), b, DiffOptions{})
+	d := DiffSnapshots(diffSnapA(), b, 0)
 	if d.Breaches != 2 || len(d.Entries) != 2 {
 		t.Fatalf("missing diff: %+v", d)
 	}
@@ -107,9 +102,9 @@ func TestDiffMissingSeries(t *testing.T) {
 		}
 	}
 
-	d = DiffSnapshots(diffSnapA(), b, DiffOptions{IgnoreMissing: true})
-	if d.Breaches != 0 || len(d.Entries) != 2 {
-		t.Fatalf("ignore-missing diff: %+v", d)
+	d = DiffSnapshots(diffSnapA(), b, 1)
+	if d.Breaches != 2 {
+		t.Fatalf("tolerant missing diff: %+v", d)
 	}
 }
 
@@ -118,7 +113,7 @@ func TestDiffMissingSeries(t *testing.T) {
 func TestDiffOrdering(t *testing.T) {
 	a := Snapshot{Counters: map[string]float64{"x/small": 1000, "x/big": 10, "x/gone": 1}}
 	b := Snapshot{Counters: map[string]float64{"x/small": 1001, "x/big": 20}}
-	d := DiffSnapshots(a, b, DiffOptions{})
+	d := DiffSnapshots(a, b, 0)
 	want := []string{"x/gone", "x/big", "x/small"} // rel 1, 0.5, ~0.001
 	if len(d.Entries) != len(want) {
 		t.Fatalf("entries: %+v", d.Entries)

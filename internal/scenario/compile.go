@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 
 	"srcsim/internal/faults"
 	"srcsim/internal/sim"
@@ -138,7 +137,11 @@ func (s *Spec) buildPhase(ph *Phase, seed uint64) (*trace.Trace, error) {
 	if ph.Workload != nil {
 		return buildWorkload(ph.Workload, seed)
 	}
-	tr, err := loadTraceFile(ph.Trace)
+	format := ph.Trace.Format
+	if format == "" {
+		format = "jsonl"
+	}
+	tr, err := trace.ReadFile(ph.Trace.Path, format)
 	if err != nil {
 		return nil, err
 	}
@@ -154,56 +157,24 @@ func (s *Spec) buildPhase(ph *Phase, seed uint64) (*trace.Trace, error) {
 	return tr, nil
 }
 
+// buildWorkload converts a phase's JSON knobs (inter-arrivals in µs)
+// into a workload.Build config; a synthetic phase's unset ia_scv means
+// exponential arrivals.
 func buildWorkload(w *WorkloadRef, seed uint64) (*trace.Trace, error) {
-	switch w.Kind {
-	case KindVDI:
-		return workload.VDILike(seed, w.Count)
-	case KindCBS:
-		return workload.CBSLike(seed, w.Count)
-	case KindMicro:
-		return workload.Micro(workload.MicroConfig{
-			Seed:      seed,
-			ReadCount: w.Reads, WriteCount: w.Writes,
-			ReadInterArrival:  sim.Time(w.ReadIAUS * float64(sim.Microsecond)),
-			WriteInterArrival: sim.Time(w.WriteIAUS * float64(sim.Microsecond)),
-			ReadMeanSize:      w.ReadSize, WriteMeanSize: w.WriteSize,
-		})
-	case KindSynthetic:
-		iaSCV := w.IASCV
-		if iaSCV == 0 {
-			iaSCV = 1
-		}
-		return workload.Synthetic(workload.SyntheticConfig{
-			Seed:      seed,
-			ReadCount: w.Reads, WriteCount: w.Writes,
-			ReadInterArrival:    sim.Time(w.ReadIAUS * float64(sim.Microsecond)),
-			WriteInterArrival:   sim.Time(w.WriteIAUS * float64(sim.Microsecond)),
-			ReadInterArrivalSCV: iaSCV, WriteInterArrivalSCV: iaSCV,
-			ReadACF1: w.ACF1, WriteACF1: w.ACF1,
-			ReadMeanSize: w.ReadSize, WriteMeanSize: w.WriteSize,
-			ReadSizeSCV: w.SizeSCV, WriteSizeSCV: w.SizeSCV,
-		})
-	default:
-		return nil, fmt.Errorf("unknown workload kind %q", w.Kind)
+	iaSCV := w.IASCV
+	if iaSCV == 0 {
+		iaSCV = 1
 	}
-}
-
-func loadTraceFile(ref *TraceRef) (*trace.Trace, error) {
-	f, err := os.Open(ref.Path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch ref.Format {
-	case "", "jsonl":
-		return trace.ReadJSONL(f)
-	case "csv":
-		return trace.ReadCSV(f)
-	case "msr":
-		return trace.ReadMSR(f)
-	default:
-		return nil, fmt.Errorf("unknown trace format %q", ref.Format)
-	}
+	return workload.Build(w.Kind, w.Count, workload.SyntheticConfig{
+		Seed:      seed,
+		ReadCount: w.Reads, WriteCount: w.Writes,
+		ReadInterArrival:    sim.Time(w.ReadIAUS * float64(sim.Microsecond)),
+		WriteInterArrival:   sim.Time(w.WriteIAUS * float64(sim.Microsecond)),
+		ReadInterArrivalSCV: iaSCV, WriteInterArrivalSCV: iaSCV,
+		ReadACF1: w.ACF1, WriteACF1: w.ACF1,
+		ReadMeanSize: w.ReadSize, WriteMeanSize: w.WriteSize,
+		ReadSizeSCV: w.SizeSCV, WriteSizeSCV: w.SizeSCV,
+	})
 }
 
 // Fit refits an ingested trace into a reusable synthetic workload

@@ -28,14 +28,15 @@ import (
 	"os"
 
 	"srcsim/internal/faults"
+	"srcsim/internal/workload"
 )
 
 // Workload kinds a phase may reference.
 const (
-	KindMicro     = "micro"
-	KindSynthetic = "synthetic"
-	KindVDI       = "vdi"
-	KindCBS       = "cbs"
+	KindMicro     = workload.KindMicro
+	KindSynthetic = workload.KindSynthetic
+	KindVDI       = workload.KindVDI
+	KindCBS       = workload.KindCBS
 )
 
 // WorkloadRef declares a phase's generated workload. Micro phases use

@@ -44,8 +44,8 @@ type CampaignSpec struct {
 	// Seed is the campaign master seed; per-job seeds derive from it
 	// and the job ID.
 	Seed uint64 `json:"seed"`
-	// Workers bounds job parallelism (0 = GOMAXPROCS); the -workers
-	// flag overrides.
+	// Workers bounds job parallelism (0 = GOMAXPROCS); a nonzero
+	// Runner.Workers overrides.
 	Workers int `json:"workers,omitempty"`
 	// TrainCount is the per-direction request count for shared TPM
 	// training (0 = 1500, the srcsim default).

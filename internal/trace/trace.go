@@ -6,6 +6,8 @@ package trace
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"srcsim/internal/sim"
@@ -165,4 +167,27 @@ func (t *Trace) TotalBytes() int64 {
 		s += int64(r.Size)
 	}
 	return s
+}
+
+// ReadFile reads a trace file in the named format: csv (WriteCSV), msr
+// (MSR Cambridge / SNIA) or jsonl (the open trace format). Callers pick
+// their own default format; ReadFile has none.
+func ReadFile(path, format string) (*Trace, error) {
+	var read func(io.Reader) (*Trace, error)
+	switch format {
+	case "csv":
+		read = ReadCSV
+	case "msr":
+		read = ReadMSR
+	case "jsonl":
+		read = ReadJSONL
+	default:
+		return nil, fmt.Errorf("trace: unknown format %q (want csv, msr, or jsonl)", format)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return read(f)
 }

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,5 +267,57 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadFile: each format reads the file through its own decoder, and
+// an unknown format is refused before the file is opened.
+func TestReadFile(t *testing.T) {
+	src := mkTrace(
+		Request{ID: 0, Op: Read, LBA: 4096, Size: 8192, Arrival: 0},
+		Request{ID: 1, Op: Write, LBA: 0, Size: 4096, Arrival: 3 * sim.Microsecond},
+	)
+	var csvBuf, jsonlBuf bytes.Buffer
+	if err := WriteCSV(&csvBuf, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&jsonlBuf, src); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cases := []struct {
+		format, body string
+		read         func(io.Reader) (*Trace, error)
+	}{
+		{"csv", csvBuf.String(), ReadCSV},
+		{"msr", msrSample, ReadMSR},
+		{"jsonl", jsonlBuf.String(), ReadJSONL},
+		{"xml", "<trace/>", nil},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, "trace."+tc.format)
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path, tc.format)
+		if tc.read == nil {
+			if err == nil || !strings.Contains(err.Error(), "unknown format") {
+				t.Fatalf("%s: err %v, want unknown format", tc.format, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		want, err := tc.read(strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ReadFile %+v, decoder %+v", tc.format, got, want)
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing.csv"), "csv"); err == nil {
+		t.Fatal("missing file accepted")
 	}
 }

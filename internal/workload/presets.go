@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"srcsim/internal/sim"
 	"srcsim/internal/trace"
 )
@@ -34,6 +36,40 @@ func CBSLike(seed uint64, count int) (*trace.Trace, error) {
 		ReadMeanSize: 12 << 10, WriteMeanSize: 16 << 10,
 		ReadSizeSCV: 2.5, WriteSizeSCV: 2.0,
 	})
+}
+
+// Workload kinds addressable by name (trace generation, scenario
+// phases).
+const (
+	KindMicro     = "micro"
+	KindSynthetic = "synthetic"
+	KindVDI       = "vdi"
+	KindCBS       = "cbs"
+)
+
+// Build generates a workload of the named kind. Micro takes sc's seed,
+// counts, mean inter-arrivals and mean sizes; synthetic takes all of sc;
+// the vdi and cbs presets take sc.Seed and count (requests per
+// direction) only.
+func Build(kind string, count int, sc SyntheticConfig) (*trace.Trace, error) {
+	switch kind {
+	case KindMicro:
+		return Micro(MicroConfig{
+			Seed:      sc.Seed,
+			ReadCount: sc.ReadCount, WriteCount: sc.WriteCount,
+			ReadInterArrival: sc.ReadInterArrival, WriteInterArrival: sc.WriteInterArrival,
+			ReadMeanSize: sc.ReadMeanSize, WriteMeanSize: sc.WriteMeanSize,
+			AddressSpace: sc.AddressSpace,
+		})
+	case KindSynthetic:
+		return Synthetic(sc)
+	case KindVDI:
+		return VDILike(sc.Seed, count)
+	case KindCBS:
+		return CBSLike(sc.Seed, count)
+	default:
+		return nil, fmt.Errorf("workload: unknown kind %q (want micro, synthetic, vdi, or cbs)", kind)
+	}
 }
 
 // SCVClass identifies one of the paper's four Table III data subsets,
