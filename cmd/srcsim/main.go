@@ -206,12 +206,15 @@ func defineParamFlags(fs *flag.FlagSet) {
 // to the default handler and kills the process) and, when addr is set,
 // the live inspector. stop releases both, first holding the inspector
 // up for grace so scrapers racing a short run still see the final state.
+// The run is over once stop is called: a signal then ends the grace
+// window early instead of truncating anything.
 func govern(maxWall time.Duration, addr string, grace time.Duration) (stopper *guard.Stopper, board *live.Board, stop func(), err error) {
 	stopper = guard.NewStopper()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case s := <-sigc:
 			signal.Stop(sigc)
@@ -228,14 +231,19 @@ func govern(maxWall time.Duration, addr string, grace time.Duration) (stopper *g
 	}
 	var srv *live.Server
 	stop = func() {
-		if srv != nil {
-			time.Sleep(grace)
-			srv.Close()
-		}
 		if timer != nil {
 			timer.Stop()
 		}
 		close(done)
+		// From here on only the grace window below receives signals.
+		<-exited
+		if srv != nil {
+			select {
+			case <-time.After(grace):
+			case <-sigc:
+			}
+			srv.Close()
+		}
 		signal.Stop(sigc)
 	}
 	if addr != "" {

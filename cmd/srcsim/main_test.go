@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"srcsim/internal/devrun"
 	"srcsim/internal/harness"
@@ -309,4 +311,31 @@ func TestDiffGate(t *testing.T) {
 	}
 	runCLI(t, exitError, "-diff", a, filepath.Join(dir, "missing.json"))
 	runCLI(t, exitError, "-diff", a)
+}
+
+// TestSignalDuringGraceEndsIt: once stop is called the run is over, so
+// a SIGTERM that arrives while stop holds the live inspector up for its
+// grace window ends the window at once and truncates nothing.
+func TestSignalDuringGraceEndsIt(t *testing.T) {
+	stopper, _, stop, err := govern(0, "127.0.0.1:0", 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stop closes the run before it waits out the grace window; the
+	// signal comes well after that. Cancelling the timer keeps a stop
+	// that returns too early from leaving an uncaught SIGTERM behind.
+	kill := time.AfterFunc(100*time.Millisecond, func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Error(err)
+		}
+	})
+	defer kill.Stop()
+	start := time.Now()
+	stop()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("stop returned after %v, want the signal to end the grace window", d)
+	}
+	if stopper.Stopped() {
+		t.Errorf("stopper fired after the run finished: %q", stopper.Reason())
+	}
 }

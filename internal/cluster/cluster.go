@@ -1,5 +1,5 @@
 // Package cluster assembles the full disaggregated storage testbed of
-// Sec. IV: a fabric (rack or Clos) of initiators and targets, each
+// Sec. IV: a single-rack fabric of initiators and targets, each
 // target a flash array behind the baseline NVMe arbitration or the
 // paper's SSQ, optionally controlled by SRC — and collects the paper's
 // metrics: per-millisecond read throughput at initiators, write
@@ -70,6 +70,17 @@ func (m Mode) String() string {
 	}
 }
 
+// Measurement cadences. Throughput and pause counts are bucketed at
+// metricBucket, as in Figs. 7-10. The steady-state aggregates drop the
+// first and last trimFrac of the arrival span, Sec. IV-B's warm-up and
+// wrap-up trim. A live inspector board is refreshed every publishEvery
+// of sim time.
+const (
+	metricBucket = sim.Millisecond
+	trimFrac     = 0.10
+	publishEvery = 10 * sim.Millisecond
+)
+
 // Spec describes one experiment setup.
 type Spec struct {
 	Initiators int
@@ -98,20 +109,10 @@ type Spec struct {
 	Net       netsim.Config
 	LinkRate  float64
 	LinkDelay sim.Time
-	// UseClos builds the paper's full Clos fabric and places initiators
-	// and targets on distinct ToRs; otherwise a single-rack topology is
-	// used (the paper's small-scale experiments).
-	UseClos bool
-	Clos    netsim.ClosSpec
 
-	// MetricBucket is the time-series resolution (default 1 ms, as in
-	// Figs. 7-10).
-	MetricBucket sim.Time
 	// Horizon bounds the simulation (default 3x trace duration plus
 	// 200 ms of drain).
 	Horizon sim.Time
-	// TrimFrac is the warm-up/wrap-up trim (default 0.10, Sec. IV-B).
-	TrimFrac float64
 	// TXQCap bounds in-flight read data per target in bytes (0 uses
 	// nvmeof.DefaultTXQCap; negative disables CQ backpressure).
 	TXQCap int64
@@ -128,15 +129,15 @@ type Spec struct {
 	Retry nvmeof.RetryPolicy
 
 	// Guard configures run governance: the liveness watchdog, the
-	// conservation auditor, graceful cancellation, and the wall-clock
-	// budget (see internal/guard). The zero value disables everything
-	// and keeps runs byte-identical to ungoverned output.
+	// conservation auditor and graceful cancellation (see
+	// internal/guard). The zero value disables everything and keeps runs
+	// byte-identical to ungoverned output.
 	Guard guard.Config
 
 	// Metrics, when non-nil, receives counters/gauges/histograms from
-	// every instrumented component and enables engine profiling; the
-	// snapshot lands in Result.Metrics. Nil (the default) keeps all hooks
-	// no-ops.
+	// every instrumented component and enables engine profiling; Run
+	// flushes end-of-run counters into it. Nil (the default) keeps all
+	// hooks no-ops.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records sim-time events (ECN marks, PFC
 	// pauses, DCQCN throttle spans, SSD GC, SRC adjustments) for Chrome
@@ -151,11 +152,10 @@ type Spec struct {
 	// changes no behaviour.
 	Recorder *timeseries.Recorder
 	// Board, when non-nil, receives wall-clock-latest copies of the
-	// registry snapshot and recorder window every PublishEvery of sim
-	// time (default 10 ms) for the live inspector. Publishing runs as
-	// ordinary engine events and is read-only.
-	Board        *live.Board
-	PublishEvery sim.Time
+	// registry snapshot and recorder window every 10 ms of sim time for
+	// the live inspector. Publishing runs as ordinary engine events and
+	// is read-only.
+	Board *live.Board
 	// Progress, when non-nil, gets a one-line status report every
 	// ProgressEvery of sim time (default 100 ms) during Run.
 	Progress      io.Writer
@@ -190,13 +190,6 @@ func (s Spec) withDefaults() Spec {
 	if s.LinkDelay <= 0 {
 		s.LinkDelay = sim.Microsecond
 	}
-	if s.MetricBucket <= 0 {
-		s.MetricBucket = sim.Millisecond
-	}
-	if s.TrimFrac <= 0 {
-		s.TrimFrac = 0.10
-	}
-	s.Guard = s.Guard.WithDefaults()
 	if s.Mode != DCQCNSRC {
 		s.Ctrl = ctrlplane.Config{}
 	}
@@ -306,28 +299,13 @@ func New(spec Spec) (*Cluster, error) {
 	modeL := obs.L("mode", spec.Mode.String())
 	net.Instrument(spec.Metrics, sc, modeL)
 
-	var hosts []*netsim.Node
-	need := spec.Initiators + spec.Targets
-	if spec.UseClos {
-		hosts = netsim.BuildClos(net, spec.Clos)
-		if len(hosts) < need {
-			return nil, fmt.Errorf("cluster: Clos provides %d hosts, need %d", len(hosts), need)
-		}
-		// Spread across ToRs: initiators first, then targets from the
-		// far end so traffic crosses the fabric.
-		sel := make([]*netsim.Node, 0, need)
-		sel = append(sel, hosts[:spec.Initiators]...)
-		sel = append(sel, hosts[len(hosts)-spec.Targets:]...)
-		hosts = sel
-	} else {
-		hosts = netsim.BuildRack(net, need, spec.LinkRate, spec.LinkDelay)
-	}
+	hosts := netsim.BuildRack(net, spec.Initiators+spec.Targets, spec.LinkRate, spec.LinkDelay)
 
 	c := &Cluster{
 		Spec: spec, Eng: eng, Net: net,
-		readBits:         stats.NewTimeSeries(spec.MetricBucket),
-		writeBits:        stats.NewTimeSeries(spec.MetricBucket),
-		pauses:           stats.NewTimeSeries(spec.MetricBucket),
+		readBits:         stats.NewTimeSeries(metricBucket),
+		writeBits:        stats.NewTimeSeries(metricBucket),
+		pauses:           stats.NewTimeSeries(metricBucket),
 		telemetryStalled: make([]bool, spec.Targets),
 		sc:               sc,
 	}

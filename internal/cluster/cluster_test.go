@@ -197,23 +197,6 @@ func TestDevicesPerTargetArray(t *testing.T) {
 	_ = res
 }
 
-func TestClosPlacementRuns(t *testing.T) {
-	spec := congestionSpec()
-	spec.UseClos = true
-	spec.Clos.LinkRate = 10e9
-	c, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(vdiTrace(t, 200), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != res.Submitted {
-		t.Fatalf("Clos run incomplete: %d/%d", res.Completed, res.Submitted)
-	}
-}
-
 func TestCustomAssignPolicy(t *testing.T) {
 	spec := congestionSpec()
 	spec.Targets = 2

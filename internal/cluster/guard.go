@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"srcsim/internal/guard"
 	"srcsim/internal/sim"
@@ -148,10 +147,21 @@ func (c *Cluster) buildDump() *guard.Dump {
 	return d
 }
 
+// Guard cadences. The auditor polls every auditEvery of sim time. The
+// engine interrupt runs the cancellation and event-storm checks every
+// interruptEvery events: smaller reacts faster, larger costs less.
+// maxEventsPerInstant consecutive events with the sim clock frozen at
+// one instant is declared a livelock.
+const (
+	auditEvery          = sim.Millisecond
+	interruptEvery      = 8192
+	maxEventsPerInstant = 4 << 20
+)
+
 // installGuard arms the configured governance mechanisms around one Run
 // call: the liveness watchdog and conservation auditor as sim-clock
-// tickers, and cancellation/wall-budget/event-storm checks as an engine
-// interrupt hook. It returns a teardown that detaches everything.
+// tickers, and cancellation/event-storm checks as an engine interrupt
+// hook. It returns a teardown that detaches everything.
 //
 // All hooks are pure observers until the moment they trip: they read
 // state and, on failure, record the verdict and call Eng.Stop(). An
@@ -166,7 +176,7 @@ func (c *Cluster) installGuard() (teardown func()) {
 
 	if cfg.StallHorizon > 0 {
 		lastDone := -1
-		stops = append(stops, c.Eng.Ticker(cfg.CheckEvery, func() {
+		stops = append(stops, c.Eng.Ticker(cfg.CheckEvery(), func() {
 			if c.guardErr != nil {
 				return
 			}
@@ -193,7 +203,7 @@ func (c *Cluster) installGuard() (teardown func()) {
 	}
 
 	if cfg.Audit {
-		stops = append(stops, c.Eng.Ticker(cfg.AuditEvery, func() {
+		stops = append(stops, c.Eng.Ticker(auditEvery, func() {
 			if c.guardErr != nil {
 				return
 			}
@@ -204,23 +214,16 @@ func (c *Cluster) installGuard() (teardown func()) {
 		}))
 	}
 
-	if cfg.Stop != nil || cfg.WallBudget > 0 || cfg.StallHorizon > 0 {
-		wallStart := time.Now()
+	if cfg.Stop != nil || cfg.StallHorizon > 0 {
 		var frozenAt sim.Time = -1
 		var frozenEvents uint64
-		c.Eng.SetInterrupt(cfg.InterruptEvery, func() {
+		c.Eng.SetInterrupt(interruptEvery, func() {
 			if c.guardErr != nil || c.truncated {
 				return
 			}
 			if cfg.Stop != nil && cfg.Stop.Stopped() {
 				c.truncated = true
 				c.truncateReason = cfg.Stop.Reason()
-				c.Eng.Stop()
-				return
-			}
-			if cfg.WallBudget > 0 && time.Since(wallStart) > cfg.WallBudget {
-				c.truncated = true
-				c.truncateReason = fmt.Sprintf("wall budget %v exceeded", cfg.WallBudget)
 				c.Eng.Stop()
 				return
 			}
@@ -232,8 +235,8 @@ func (c *Cluster) installGuard() (teardown func()) {
 					frozenAt, frozenEvents = now, 0
 					return
 				}
-				frozenEvents += cfg.InterruptEvery
-				if frozenEvents >= cfg.MaxEventsPerInstant {
+				frozenEvents += interruptEvery
+				if frozenEvents >= maxEventsPerInstant {
 					c.guardErr = &guard.StallError{
 						Axis: "event-storm", Horizon: cfg.StallHorizon, Dump: c.buildDump(),
 					}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"srcsim/internal/guard"
 	"srcsim/internal/sim"
@@ -40,7 +39,7 @@ func TestGuardFullyArmedMatchesGolden(t *testing.T) {
 // period of the leak.
 func TestAuditCatchesCreditLeak(t *testing.T) {
 	spec := congestionSpec()
-	spec.Guard = guard.Config{Audit: true, AuditEvery: sim.Millisecond}
+	spec.Guard = guard.Config{Audit: true}
 	c, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +60,9 @@ func TestAuditCatchesCreditLeak(t *testing.T) {
 	if !strings.Contains(err.Error(), "txq-credit-conservation") {
 		t.Fatalf("violation does not name the leaked invariant: %v", err)
 	}
-	if ve.At < leakAt || ve.At > leakAt+spec.Guard.AuditEvery {
+	if ve.At < leakAt || ve.At > leakAt+auditEvery {
 		t.Fatalf("leak at %v caught at %v, want within one audit period (%v)",
-			leakAt, ve.At, spec.Guard.AuditEvery)
+			leakAt, ve.At, auditEvery)
 	}
 }
 
@@ -71,18 +70,19 @@ func TestAuditCatchesCreditLeak(t *testing.T) {
 // scheduled sim event (the deterministic analogue of a SIGINT): the run
 // must drain at the next interrupt boundary and return a partial result
 // marked truncated, with a valid JSON summary — byte-identically across
-// repeats.
+// repeats. The stop fires at 1 ms, early enough that the interrupt
+// boundary up to interruptEvery events later still leaves work undone.
 func TestStopperMidRunTruncates(t *testing.T) {
 	run := func() []byte {
 		t.Helper()
 		spec := congestionSpec()
 		st := guard.NewStopper()
-		spec.Guard = guard.Config{Stop: st, InterruptEvery: 64}
+		spec.Guard = guard.Config{Stop: st}
 		c, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Eng.Schedule(3*sim.Millisecond, func() { st.Stop("test interrupt") })
+		c.Eng.Schedule(sim.Millisecond, func() { st.Stop("test interrupt") })
 		res, err := c.Run(vdiTrace(t, 300), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestStopperMidRunTruncates(t *testing.T) {
 				res.Truncated, res.TruncateReason)
 		}
 		if res.Completed >= res.Submitted {
-			t.Fatalf("truncation at 3ms should leave work undone: %d/%d",
+			t.Fatalf("truncation after 1ms should leave work undone: %d/%d",
 				res.Completed, res.Submitted)
 		}
 		b, err := json.Marshal(res.Summary)
@@ -140,29 +140,5 @@ func TestPreFiredStopperTruncatesImmediately(t *testing.T) {
 	}
 	if res.TruncateReason != "signal: interrupt" {
 		t.Fatalf("reason %q", res.TruncateReason)
-	}
-}
-
-// TestWallBudgetTruncates arms an already-exhausted wall budget: the
-// run must come back truncated (not failed) with the ledger intact.
-func TestWallBudgetTruncates(t *testing.T) {
-	spec := congestionSpec()
-	spec.Guard = guard.Config{WallBudget: time.Nanosecond, InterruptEvery: 64}
-	c, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(vdiTrace(t, 300), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Truncated {
-		t.Fatal("exhausted wall budget did not truncate the run")
-	}
-	if !strings.Contains(res.TruncateReason, "wall budget") {
-		t.Fatalf("reason %q", res.TruncateReason)
-	}
-	if res.Completed > res.Submitted {
-		t.Fatalf("ledger inconsistent after truncation: %d/%d", res.Completed, res.Submitted)
 	}
 }

@@ -60,10 +60,10 @@ func TestTracingDoesNotPerturbRuns(t *testing.T) {
 
 // TestMetricsSnapshotCoverage checks the acceptance floor: an
 // instrumented run produces at least 15 distinct metric series spanning
-// the instrumented components, and the snapshot survives Summary JSON.
+// the instrumented components.
 func TestMetricsSnapshotCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
-	out := runSummaryJSON(t, func(s *Spec) {
+	runSummaryJSON(t, func(s *Spec) {
 		s.Metrics = reg
 	})
 
@@ -92,16 +92,6 @@ func TestMetricsSnapshotCoverage(t *testing.T) {
 		if !components[want] {
 			t.Errorf("no metric series from component %q (have %v)", want, components)
 		}
-	}
-
-	var summary struct {
-		Metrics *obs.Snapshot `json:"metrics"`
-	}
-	if err := json.Unmarshal(out, &summary); err != nil {
-		t.Fatal(err)
-	}
-	if summary.Metrics == nil || summary.Metrics.NumSeries() != snap.NumSeries() {
-		t.Fatal("metrics snapshot missing from Summary JSON")
 	}
 }
 

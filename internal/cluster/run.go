@@ -146,17 +146,13 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	}
 	stopPublish := func() {}
 	if spec.Board != nil {
-		every := spec.PublishEvery
-		if every <= 0 {
-			every = 10 * sim.Millisecond
-		}
-		stopPublish = c.Eng.Ticker(every, publish)
+		stopPublish = c.Eng.Ticker(publishEvery, publish)
 	}
 
 	// Pause-number sampling (Fig. 8): delta of CNPs received by targets
 	// per metric bucket.
 	var lastCNPs uint64
-	stopPause := c.Eng.Ticker(spec.MetricBucket, func() {
+	stopPause := c.Eng.Ticker(metricBucket, func() {
 		var cur uint64
 		for _, t := range c.Targets {
 			cur += t.T.Node.NIC.CNPsReceived
@@ -314,8 +310,8 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	res.WriteGbps = pad(res.WriteGbps)
 
 	// Active measurement window: the trimmed arrival span.
-	lo := int(sim.Time(float64(tr.Duration())*spec.TrimFrac) / spec.MetricBucket)
-	hi := int(sim.Time(float64(tr.Duration())*(1-spec.TrimFrac)) / spec.MetricBucket)
+	lo := int(sim.Time(float64(tr.Duration())*trimFrac) / metricBucket)
+	hi := int(sim.Time(float64(tr.Duration())*(1-trimFrac)) / metricBucket)
 	if hi > n {
 		hi = n
 	}
@@ -370,8 +366,6 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 
 	if reg := spec.Metrics; reg != nil {
 		c.flushMetrics(reg)
-		snap := reg.Snapshot()
-		res.Metrics = &snap
 	}
 	if spec.Board != nil {
 		// Final publish after the end-of-run metric flush, so the
@@ -509,7 +503,7 @@ type Summary struct {
 	ModeName   string  `json:"mode"`
 	DurationMs float64 `json:"duration_ms"`
 	// Steady-state aggregates (Gbps) over the active window: the trace's
-	// arrival span with the first and last TrimFrac removed (Sec. IV-B's
+	// arrival span with the first and last 10% removed (Sec. IV-B's
 	// warm-up/wrap-up trimming). The post-arrival drain tail is excluded
 	// so runs of different lengths compare like the paper's timelines.
 	MeanReadGbps   float64 `json:"read_gbps"`
@@ -530,7 +524,7 @@ type Summary struct {
 
 	// Truncation markers, omitted on complete runs so their JSON shape
 	// is unchanged. Truncated marks a run cut short by graceful
-	// cancellation (a guard.Stopper fired or the wall budget ran out)
+	// cancellation (a guard.Stopper fired by a signal or -max-wall)
 	// rather than by completing its workload; the metric and fault
 	// ledgers cover the portion that ran. TruncateReason says why.
 	Truncated      bool   `json:"truncated,omitempty"`
@@ -571,19 +565,12 @@ type Summary struct {
 	// Ctrl is the in-band control plane's ledger, omitted entirely on the
 	// ideal channel (Spec.Ctrl off), which keeps none.
 	Ctrl *ctrlplane.Ledger `json:"ctrl,omitempty"`
-
-	// Metrics is the registry snapshot taken after the end-of-run flush,
-	// present only when the run had Spec.Metrics attached.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // Digest is the deterministic machine-readable core of a Result: the
 // summary plus the raw per-bucket series, which catch divergence the
-// aggregated digest would average away. The metrics snapshot is
-// excluded — it carries wall-clock profiling series, so it is reported
-// beside the digest (not inside it) by callers that need byte-stable
-// artifacts: the determinism matrix and the sweep orchestrator both
-// compare digests byte for byte.
+// aggregated digest would average away. The determinism matrix and the
+// sweep orchestrator both compare digests byte for byte.
 type Digest struct {
 	Summary   Summary   `json:"summary"`
 	ReadGbps  []float64 `json:"read_gbps_series"`
@@ -593,10 +580,8 @@ type Digest struct {
 
 // Digest extracts the deterministic digest of the result.
 func (r *Result) Digest() Digest {
-	s := r.Summary
-	s.Metrics = nil
 	return Digest{
-		Summary:   s,
+		Summary:   r.Summary,
 		ReadGbps:  r.ReadGbps,
 		WriteGbps: r.WriteGbps,
 		Pauses:    r.Pauses,

@@ -8,7 +8,7 @@ package core
 //   - In-run retraining. The controller accumulates (Ch, w) → measured
 //     throughput samples into a SampleWindow and periodically refits a
 //     small random forest on the sim clock. The candidate is promoted
-//     only if its windowed accuracy beats the incumbent by PromoteMargin
+//     only if its windowed accuracy beats the incumbent by promoteMargin
 //     (hysteresis — a noisy tie never thrashes the model), with typed
 //     obs events for train/promote/reject.
 //
@@ -102,12 +102,6 @@ type AdaptiveConfig struct {
 	// RetrainEvery is the minimum sim-time gap between retrains
 	// (default 10 ms).
 	RetrainEvery sim.Time
-	// RetrainTrees sizes the in-run forest — smaller than the offline
-	// 100-tree model so refits stay cheap (default 20).
-	RetrainTrees int
-	// PromoteMargin is the accuracy hysteresis: a candidate must beat
-	// the incumbent's windowed accuracy by this much (default 0.02).
-	PromoteMargin float64
 	// MaxRejects demotes Retraining → ModelFree after this many
 	// consecutive rejected candidates (default 4).
 	MaxRejects int
@@ -135,15 +129,6 @@ type AdaptiveConfig struct {
 	// before ascending one rung (default 4).
 	RecoverAfter int
 
-	// AIMDStep is ModelFree's additive decrease of the write weight per
-	// healthy rate event — the read share rises toward demand (default 1).
-	AIMDStep float64
-	// AIMDBackoff is ModelFree's multiplicative raise of the write
-	// weight on congestion pressure — consecutive pressure events
-	// compound exponentially, capped at ControllerConfig.MaxW
-	// (default 1.5).
-	AIMDBackoff float64
-
 	// Cache, when non-nil, warm-starts retraining: candidate models are
 	// content-addressed by their window samples, so a re-run (or a
 	// resumed sweep) loads instead of refitting. Loading is
@@ -166,12 +151,6 @@ func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if a.RetrainEvery <= 0 {
 		a.RetrainEvery = 10 * sim.Millisecond
 	}
-	if a.RetrainTrees <= 0 {
-		a.RetrainTrees = 20
-	}
-	if a.PromoteMargin <= 0 {
-		a.PromoteMargin = 0.02
-	}
 	if a.MaxRejects <= 0 {
 		a.MaxRejects = 4
 	}
@@ -193,12 +172,6 @@ func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if a.RecoverAfter <= 0 {
 		a.RecoverAfter = 4
 	}
-	if a.AIMDStep <= 0 {
-		a.AIMDStep = 1
-	}
-	if a.AIMDBackoff <= 1 {
-		a.AIMDBackoff = 1.5
-	}
 	return a
 }
 
@@ -206,6 +179,21 @@ func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
 // keys (bump on any change to the candidate hyperparameters or the
 // sample layout).
 const adaptiveTrainEpoch = 1
+
+// Fixed adaptive tuning. retrainTrees sizes the in-run forest, smaller
+// than the offline 100-tree model so refits stay cheap. promoteMargin
+// is the accuracy hysteresis: a candidate must beat the incumbent's
+// windowed accuracy by this much. ModelFree lowers the write weight by
+// aimdStep per healthy rate event, so the read share rises toward
+// demand, and multiplies it by aimdBackoff on congestion pressure, so
+// consecutive pressure events compound exponentially up to
+// ControllerConfig.MaxW.
+const (
+	retrainTrees  = 20
+	promoteMargin = 0.02
+	aimdStep      = 1
+	aimdBackoff   = 1.5
+)
 
 // adaptiveState is the controller's ladder + retraining state; nil when
 // adaptation is disabled.
@@ -495,13 +483,13 @@ func (c *Controller) aimdAdjust(at sim.Time, demandedBps float64) {
 	a.lastAimd, a.lastAimdDemand, a.haveAimd = at, demandedBps, true
 	if pressure {
 		a.pressure++
-		a.aimdW *= a.cfg.AIMDBackoff
+		a.aimdW *= aimdBackoff
 		if maxW := float64(c.Cfg.MaxW); a.aimdW > maxW {
 			a.aimdW = maxW
 		}
 	} else {
 		a.pressure = 0
-		a.aimdW -= a.cfg.AIMDStep
+		a.aimdW -= aimdStep
 		if a.aimdW < 1 {
 			a.aimdW = 1
 		}
@@ -527,7 +515,7 @@ func (c *Controller) aimdAdjust(at sim.Time, demandedBps float64) {
 
 // retrainNow fits a candidate model on the sliding window and promotes
 // it only if its windowed accuracy beats the incumbent by
-// PromoteMargin. With a cache armed, candidates are content-addressed
+// promoteMargin. With a cache armed, candidates are content-addressed
 // by (epoch, hyperparameters, samples) for warm starts.
 func (c *Controller) retrainNow(at sim.Time) {
 	a := c.adaptive
@@ -536,14 +524,13 @@ func (c *Controller) retrainNow(at sim.Time) {
 	a.retrains++
 	samples := a.window.Samples()
 
-	trees := a.cfg.RetrainTrees
 	cand := &TPM{NewRegressor: func() ml.Regressor {
-		return &ml.RandomForestRegressor{Trees: trees, MaxFeatures: (NumFeatures + 1) / 3, Seed: 1}
+		return &ml.RandomForestRegressor{Trees: retrainTrees, MaxFeatures: (NumFeatures + 1) / 3, Seed: 1}
 	}}
 	var key string
 	loaded := false
 	if a.cfg.Cache != nil {
-		key = cache.Key("adaptive-tpm", adaptiveTrainEpoch, NumFeatures, trees, samples)
+		key = cache.Key("adaptive-tpm", adaptiveTrainEpoch, NumFeatures, retrainTrees, samples)
 		if b, ok := a.cfg.Cache.Get(key); ok {
 			if m, err := LoadTPM(bytes.NewReader(b)); err == nil {
 				cand = m
@@ -569,7 +556,7 @@ func (c *Controller) retrainNow(at sim.Time) {
 
 	candAcc := cand.Accuracy(samples)
 	incAcc := c.TPM.Accuracy(samples)
-	if candAcc > incAcc+a.cfg.PromoteMargin {
+	if candAcc > incAcc+promoteMargin {
 		c.TPM = cand
 		a.promotions++
 		a.rejects = 0

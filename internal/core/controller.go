@@ -9,10 +9,17 @@ import (
 	"srcsim/internal/sim"
 )
 
+// predictionWindow is the paper's prediction window δ: the monitor
+// profiles the requests of the last δ. A demanded-rate change smaller
+// than rateEpsilon of the previous demand is negligible and gets no
+// reaction.
+const (
+	predictionWindow = 10 * sim.Millisecond
+	rateEpsilon      = 0.05
+)
+
 // ControllerConfig tunes the SRC dynamic adjustment (Alg. 1).
 type ControllerConfig struct {
-	// Window is the prediction window δ (default 10 ms).
-	Window sim.Time
 	// Tau is the convergence threshold on relative read-throughput
 	// change between successive weight ratios (default 0.10).
 	Tau float64
@@ -23,9 +30,6 @@ type ControllerConfig struct {
 	// 1 ms; DCQCN emits rate changes far faster than the SSD's
 	// throughput moves, so reacting to each one just thrashes weights).
 	MinEventGap sim.Time
-	// RateEpsilon suppresses reactions to negligible demanded-rate
-	// changes, as a fraction of the previous demand (default 0.05).
-	RateEpsilon float64
 	// Scale multiplies TPM predictions before comparison with the
 	// demanded rate; set it to the number of identical SSD instances
 	// when the target runs a flash array and the TPM was trained on a
@@ -51,9 +55,6 @@ type ControllerConfig struct {
 
 // withDefaults fills unset fields.
 func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Window <= 0 {
-		c.Window = 10 * sim.Millisecond
-	}
 	if c.Tau <= 0 {
 		c.Tau = 0.10
 	}
@@ -62,9 +63,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	}
 	if c.MinEventGap <= 0 {
 		c.MinEventGap = sim.Millisecond
-	}
-	if c.RateEpsilon <= 0 {
-		c.RateEpsilon = 0.05
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1
@@ -214,7 +212,7 @@ func NewController(cfg ControllerConfig, tpm *TPM, ssq WeightSink) *Controller {
 	c := &Controller{
 		Cfg:     cfg,
 		TPM:     tpm,
-		Monitor: NewMonitor(cfg.Window),
+		Monitor: NewMonitor(predictionWindow),
 		SSQ:     ssq,
 	}
 	if cfg.Adaptive.Enabled {
@@ -280,7 +278,7 @@ func (c *Controller) OnRateEvent(at sim.Time, demandedBps float64) {
 			}
 			return
 		}
-		if c.lastDemand > 0 && math.Abs(demandedBps-c.lastDemand)/c.lastDemand < c.Cfg.RateEpsilon {
+		if c.lastDemand > 0 && math.Abs(demandedBps-c.lastDemand)/c.lastDemand < rateEpsilon {
 			if c.obs != nil {
 				c.obs.suppressed.Inc()
 			}

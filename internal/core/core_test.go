@@ -286,7 +286,7 @@ func TestOnRateEventAppliesWeights(t *testing.T) {
 func TestOnRateEventRateLimiting(t *testing.T) {
 	tpm := lawTPM(t)
 	ssq := nvme.NewSSQ(1, 1)
-	c := NewController(ControllerConfig{Tau: 0.01, MaxW: 64, MinEventGap: sim.Millisecond, RateEpsilon: 0.05}, tpm, ssq)
+	c := NewController(ControllerConfig{Tau: 0.01, MaxW: 64, MinEventGap: sim.Millisecond}, tpm, ssq)
 	c.OnRateEvent(0, 5e9)
 	// Too soon: ignored.
 	c.OnRateEvent(100*sim.Microsecond, 2e9)
@@ -307,7 +307,7 @@ func TestOnRateEventRateLimiting(t *testing.T) {
 
 func TestControllerDefaults(t *testing.T) {
 	c := NewController(ControllerConfig{}, NewTPM(), nvme.NewSSQ(1, 1))
-	if c.Cfg.Window != 10*sim.Millisecond || c.Cfg.Tau != 0.10 || c.Cfg.MaxW != 32 {
+	if c.Monitor.Window() != 10*sim.Millisecond || c.Cfg.Tau != 0.10 || c.Cfg.MaxW != 32 {
 		t.Fatalf("defaults %+v", c.Cfg)
 	}
 	if c.CurrentWeightRatio() != 1 {

@@ -46,19 +46,12 @@ type Config struct {
 
 	// BaseDelay is the fixed one-way message delay (default 20 µs).
 	BaseDelay sim.Time `json:"base_delay_ns,omitempty"`
-	// DelayPerQueuedKB couples the channel to fabric congestion: every
-	// KiB of switch-queued bytes (the load probe) adds this much delay
-	// (default 50 ns). Zero-load fabrics add nothing.
-	DelayPerQueuedKB sim.Time `json:"delay_per_queued_kb_ns,omitempty"`
 	// LossProb is the per-message drop probability (seeded,
 	// deterministic). Zero consumes no randomness.
 	LossProb float64 `json:"loss_prob,omitempty"`
-	// ReorderProb adds a uniform extra delay in [0, ReorderJitter) to a
+	// ReorderProb adds a uniform extra delay in [0, 4×BaseDelay) to a
 	// message, letting later sends overtake it.
-	ReorderProb   float64  `json:"reorder_prob,omitempty"`
-	ReorderJitter sim.Time `json:"reorder_jitter_ns,omitempty"`
-	// Seed seeds the channel RNG (default 0xC791).
-	Seed uint64 `json:"seed,omitempty"`
+	ReorderProb float64 `json:"reorder_prob,omitempty"`
 
 	// TelemetryEvery is the publisher's batch-flush period (default
 	// 200 µs). Telemetry and rate events are fire-and-forget; only
@@ -91,20 +84,18 @@ type Config struct {
 	FailoverAfter sim.Time `json:"failover_after_ns,omitempty"`
 }
 
+// Channel constants. Every KiB of switch-queued bytes (the load probe)
+// adds delayPerQueuedKB to a message's delay, coupling the channel to
+// fabric congestion; zero-load fabrics add nothing. seed seeds the
+// channel's loss and reorder draws.
+const (
+	delayPerQueuedKB = 50 * sim.Nanosecond
+	seed             = 0xC791
+)
+
 func (c Config) withDefaults() Config {
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 20 * sim.Microsecond
-	}
-	if c.DelayPerQueuedKB < 0 {
-		c.DelayPerQueuedKB = 0
-	} else if c.DelayPerQueuedKB == 0 {
-		c.DelayPerQueuedKB = 50 * sim.Nanosecond
-	}
-	if c.ReorderJitter <= 0 {
-		c.ReorderJitter = 4 * c.BaseDelay
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xC791
 	}
 	if c.TelemetryEvery <= 0 {
 		c.TelemetryEvery = 200 * sim.Microsecond
@@ -236,7 +227,7 @@ func New(eng *sim.Engine, cfg Config, targets int, load func() int64) *Plane {
 		return p // the ideal channel needs only the controllers
 	}
 	p.Cfg = cfg.withDefaults()
-	p.rng = sim.NewRNG(p.Cfg.Seed ^ 0xC021201A11E)
+	p.rng = sim.NewRNG(seed ^ 0xC021201A11E)
 	p.load = load
 	p.agents = make([]*agent, targets)
 	p.pubs = make([]*publisher, targets)
@@ -389,13 +380,13 @@ func (p *Plane) delay(target int) sim.Time {
 	if target >= 0 {
 		d = sim.Time(float64(d) * p.delayFactor[target])
 	}
-	if p.load != nil && p.Cfg.DelayPerQueuedKB > 0 {
+	if p.load != nil {
 		if q := p.load(); q > 0 {
-			d += p.Cfg.DelayPerQueuedKB * sim.Time(q>>10)
+			d += delayPerQueuedKB * sim.Time(q>>10)
 		}
 	}
 	if p.Cfg.ReorderProb > 0 && p.rng.Float64() < p.Cfg.ReorderProb {
-		d += sim.Time(p.rng.Float64() * float64(p.Cfg.ReorderJitter))
+		d += sim.Time(p.rng.Float64() * float64(4*p.Cfg.BaseDelay))
 	}
 	return d
 }

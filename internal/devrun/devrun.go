@@ -175,67 +175,28 @@ func (ws WorkloadSpec) Trace() (*trace.Trace, error) {
 	})
 }
 
-// CollectSamples measures (Ch, w) -> throughput over the workload grid ×
-// weight ratios, in parallel across GOMAXPROCS workers. Each sample's
-// features come from the realised trace, so the TPM sees exactly what
-// the workload monitor would report. group labels every produced sample
-// (used for the Table III grouped CV; pass 0 otherwise).
-func CollectSamples(cfg ssd.Config, specs []WorkloadSpec, ws []int, group int) ([]core.Sample, error) {
-	type job struct{ si, wi int }
-	jobs := make([]job, 0, len(specs)*len(ws))
-	for si := range specs {
-		for wi := range ws {
-			jobs = append(jobs, job{si, wi})
-		}
-	}
-	samples := make([]core.Sample, len(jobs))
-	err := pool.Pool{}.ForEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		spec := specs[j.si]
-		tr, err := spec.Trace()
+// CollectSamples measures (Ch, w) -> throughput over n workloads ×
+// weight ratios, in parallel across GOMAXPROCS workers. traceOf(i)
+// returns workload i's trace and is called once per job, so a generator
+// builds each trace inside its job instead of holding every workload's
+// trace at once. Each sample's features come from the realised trace,
+// so the TPM sees exactly what the workload monitor would report. group
+// labels every produced sample (used for the Table III grouped CV; pass
+// 0 otherwise).
+func CollectSamples(cfg ssd.Config, n int, traceOf func(i int) (*trace.Trace, error), ws []int, group int) ([]core.Sample, error) {
+	samples := make([]core.Sample, n*len(ws))
+	err := pool.Pool{}.ForEach(len(samples), func(ji int) error {
+		w := ws[ji%len(ws)]
+		tr, err := traceOf(ji / len(ws))
 		if err != nil {
 			return err
 		}
-		res, err := Run(cfg, tr, ws[j.wi])
-		if err != nil {
-			return err
-		}
-		ch := core.FeatureVector(trace.Extract(tr))
-		samples[ji] = core.Sample{
-			Ch: ch, W: float64(ws[j.wi]),
-			TputR: res.ReadGbps * 1e9,
-			TputW: res.WriteGbps * 1e9,
-			Group: group,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
-// CollectSamplesFromTraces is CollectSamples for pre-generated traces
-// (e.g. the MMPP synthetic workloads of Table III).
-func CollectSamplesFromTraces(cfg ssd.Config, traces []*trace.Trace, ws []int, group int) ([]core.Sample, error) {
-	type job struct{ ti, wi int }
-	jobs := make([]job, 0, len(traces)*len(ws))
-	for ti := range traces {
-		for wi := range ws {
-			jobs = append(jobs, job{ti, wi})
-		}
-	}
-	samples := make([]core.Sample, len(jobs))
-	err := pool.Pool{}.ForEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		tr := traces[j.ti]
-		res, err := Run(cfg, tr, ws[j.wi])
+		res, err := Run(cfg, tr, w)
 		if err != nil {
 			return err
 		}
 		samples[ji] = core.Sample{
-			Ch:    core.FeatureVector(trace.Extract(tr)),
-			W:     float64(ws[j.wi]),
+			Ch: core.FeatureVector(trace.Extract(tr)), W: float64(w),
 			TputR: res.ReadGbps * 1e9,
 			TputW: res.WriteGbps * 1e9,
 			Group: group,
@@ -378,7 +339,8 @@ func TrainTPM(cfg ssd.Config, count int, seed uint64) (*core.TPM, []core.Sample,
 		hs.Seed = seed ^ 0x5a5a ^ uint64(hs.InterArrival)
 		specs = append(specs, hs)
 	}
-	samples, err := CollectSamples(cfg, specs, []int{1, 2, 3, 4, 5, 6, 8}, 0)
+	samples, err := CollectSamples(cfg, len(specs), func(i int) (*trace.Trace, error) { return specs[i].Trace() },
+		[]int{1, 2, 3, 4, 5, 6, 8}, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -147,11 +147,12 @@ func TestDefaultGridCoversPaperSweep(t *testing.T) {
 func TestCollectSamplesParallelDeterministic(t *testing.T) {
 	specs := DefaultGrid(400, 7)[:4]
 	ws := []int{1, 4}
-	a, err := CollectSamples(ssd.ConfigA(), specs, ws, 3)
+	traceOf := func(i int) (*trace.Trace, error) { return specs[i].Trace() }
+	a, err := CollectSamples(ssd.ConfigA(), len(specs), traceOf, ws, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CollectSamples(ssd.ConfigA(), specs, ws, 3)
+	b, err := CollectSamples(ssd.ConfigA(), len(specs), traceOf, ws, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +172,14 @@ func TestCollectSamplesParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestCollectSamplesFromTraces feeds the collector a pre-generated trace,
+// as Table III does with its synthetic workloads.
 func TestCollectSamplesFromTraces(t *testing.T) {
 	tr, err := workload.Intensity(workload.Moderate, 1, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := CollectSamplesFromTraces(ssd.ConfigA(), []*trace.Trace{tr}, []int{1, 2}, 1)
+	samples, err := CollectSamples(ssd.ConfigA(), 1, func(int) (*trace.Trace, error) { return tr, nil }, []int{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,10 @@
 //   - A conservation auditor: components implement Auditable and are
 //     polled on the sim clock (and at drain); any Violation fails the
 //     run with a *ViolationError.
-//   - Graceful cancellation: a Stopper handle (safe to fire from signal
-//     handlers or timers on other goroutines) plus a wall-clock budget;
-//     either drains the run at the next event boundary and marks the
-//     partial result truncated, with the full metric and fault ledger
-//     intact.
+//   - Graceful cancellation: a Stopper handle, safe to fire from signal
+//     handlers or wall-clock timers on other goroutines, drains the run
+//     at the next event boundary and marks the partial result truncated,
+//     with the full metric and fault ledger intact.
 //
 // The cluster package wires all three into cluster.Run via Spec.Guard;
 // cmd/srcsim exposes them as -stall-horizon, -audit, and -max-wall.
@@ -30,7 +29,6 @@ package guard
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"srcsim/internal/sim"
 )
@@ -42,68 +40,31 @@ import (
 type Config struct {
 	// StallHorizon arms the liveness watchdog: if the oldest in-flight
 	// command is older than this and no command completed or failed
-	// since the previous check, the run fails with a *StallError. Zero
-	// disables the watchdog.
+	// since the previous check, the run fails with a *StallError. It
+	// also arms the event-storm axis. Zero disables the watchdog.
 	StallHorizon sim.Time
-	// CheckEvery is the watchdog poll period on the sim clock (default
-	// StallHorizon/4, at least 1 ms).
-	CheckEvery sim.Time
 
 	// Audit arms the conservation auditor: every layer's
-	// AuditInvariants runs each AuditEvery of sim time and once more at
-	// drain; any violation fails the run with a *ViolationError.
+	// AuditInvariants runs every millisecond of sim time and once more
+	// at drain; any violation fails the run with a *ViolationError.
 	Audit bool
-	// AuditEvery is the audit period on the sim clock (default 1 ms).
-	AuditEvery sim.Time
 
-	// WallBudget bounds the run's wall-clock time. When exceeded the
-	// run is truncated gracefully (not failed): Run returns a partial
-	// result marked Truncated. Zero means unlimited.
-	WallBudget time.Duration
 	// Stop, when non-nil, is polled at event boundaries; once fired the
 	// run drains and returns a truncated partial result. One Stopper
 	// may be shared by several sequential runs (a SIGINT truncates the
 	// current run and every later one immediately).
 	Stop *Stopper
-
-	// InterruptEvery is how many engine events pass between wall-clock
-	// and cancellation checks (default 8192). Smaller reacts faster;
-	// larger costs less.
-	InterruptEvery uint64
-	// MaxEventsPerInstant trips the wall-clock stall axis: this many
-	// consecutive events with the simulated clock frozen at one instant
-	// is declared a livelock (default 4M). Only armed when StallHorizon
-	// is set.
-	MaxEventsPerInstant uint64
 }
 
 // Enabled reports whether any governance mechanism is armed.
 func (c Config) Enabled() bool {
-	return c.StallHorizon > 0 || c.Audit || c.WallBudget > 0 || c.Stop != nil
+	return c.StallHorizon > 0 || c.Audit || c.Stop != nil
 }
 
-// WithDefaults fills derived fields of an armed config; a fully
-// disabled config is returned unchanged.
-func (c Config) WithDefaults() Config {
-	if !c.Enabled() {
-		return c
-	}
-	if c.StallHorizon > 0 && c.CheckEvery <= 0 {
-		c.CheckEvery = c.StallHorizon / 4
-		if c.CheckEvery < sim.Millisecond {
-			c.CheckEvery = sim.Millisecond
-		}
-	}
-	if c.Audit && c.AuditEvery <= 0 {
-		c.AuditEvery = sim.Millisecond
-	}
-	if c.InterruptEvery == 0 {
-		c.InterruptEvery = 8192
-	}
-	if c.MaxEventsPerInstant == 0 {
-		c.MaxEventsPerInstant = 4 << 20
-	}
-	return c
+// CheckEvery is the watchdog poll period on the sim clock: a quarter of
+// StallHorizon, at least 1 ms.
+func (c Config) CheckEvery() sim.Time {
+	return max(c.StallHorizon/4, sim.Millisecond)
 }
 
 // Stopper is an external cancellation handle: Stop may be called from

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"srcsim/internal/sim"
 )
@@ -15,32 +14,15 @@ func TestZeroConfigDisabled(t *testing.T) {
 	if cfg.Enabled() {
 		t.Fatal("zero Config reports enabled")
 	}
-	if got := cfg.WithDefaults(); got != cfg {
-		t.Fatalf("WithDefaults changed a disabled config: %+v", got)
-	}
 }
 
-func TestWithDefaults(t *testing.T) {
-	cfg := Config{StallHorizon: 100 * sim.Millisecond, Audit: true}
-	got := cfg.WithDefaults()
-	if got.CheckEvery != 25*sim.Millisecond {
-		t.Fatalf("CheckEvery = %v, want StallHorizon/4", got.CheckEvery)
-	}
-	if got.AuditEvery != sim.Millisecond {
-		t.Fatalf("AuditEvery = %v, want 1ms", got.AuditEvery)
-	}
-	if got.InterruptEvery != 8192 || got.MaxEventsPerInstant != 4<<20 {
-		t.Fatalf("interrupt defaults: %+v", got)
+func TestCheckEvery(t *testing.T) {
+	if got := (Config{StallHorizon: 100 * sim.Millisecond}).CheckEvery(); got != 25*sim.Millisecond {
+		t.Fatalf("CheckEvery = %v, want StallHorizon/4", got)
 	}
 	// A tiny horizon still polls at >= 1 ms.
-	tiny := Config{StallHorizon: sim.Microsecond}.WithDefaults()
-	if tiny.CheckEvery != sim.Millisecond {
-		t.Fatalf("CheckEvery floor = %v, want 1ms", tiny.CheckEvery)
-	}
-	// Explicit values are kept.
-	kept := Config{StallHorizon: sim.Second, CheckEvery: 7 * sim.Millisecond}.WithDefaults()
-	if kept.CheckEvery != 7*sim.Millisecond {
-		t.Fatalf("explicit CheckEvery overridden: %v", kept.CheckEvery)
+	if got := (Config{StallHorizon: sim.Microsecond}).CheckEvery(); got != sim.Millisecond {
+		t.Fatalf("CheckEvery floor = %v, want 1ms", got)
 	}
 }
 
@@ -48,7 +30,6 @@ func TestEnabledAxes(t *testing.T) {
 	for _, c := range []Config{
 		{StallHorizon: 1},
 		{Audit: true},
-		{WallBudget: time.Second},
 		{Stop: NewStopper()},
 	} {
 		if !c.Enabled() {

@@ -53,8 +53,6 @@ func AdaptConfig(d sim.Time) core.AdaptiveConfig {
 		WindowSamples:     40,
 		MinRetrainSamples: 20,
 		RetrainEvery:      8 * q,
-		RetrainTrees:      20,
-		PromoteMargin:     0.02,
 		MaxRejects:        3,
 		ErrWindow:         5,
 		ErrDegrade:        0.40,
@@ -62,8 +60,6 @@ func AdaptConfig(d sim.Time) core.AdaptiveConfig {
 		ErrHealthy:        0.35,
 		DwellTime:         3 * q,
 		RecoverAfter:      3,
-		AIMDStep:          1,
-		AIMDBackoff:       1.5,
 		Cache:             devrun.TPMCacheFromEnv(),
 	}
 }

@@ -232,7 +232,8 @@ func TestCtrlOffKeepsDirectWiring(t *testing.T) {
 	if bytes.Contains(b, []byte(`"ctrl"`)) {
 		t.Fatal("summary JSON contains ctrl field with plane disabled")
 	}
-	for _, keys := range []map[string]float64{res.Metrics.Counters, res.Metrics.Gauges} {
+	snap := spec.Metrics.Snapshot()
+	for _, keys := range []map[string]float64{snap.Counters, snap.Gauges} {
 		for k := range keys {
 			if strings.Contains(k, "ctrlplane") {
 				t.Fatalf("registry has control-plane series %q on the ideal channel", k)

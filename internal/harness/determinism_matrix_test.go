@@ -24,6 +24,7 @@ import (
 	"srcsim/internal/scenario"
 	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
+	"srcsim/internal/trace"
 )
 
 // digestRun is the matrix's view of one cluster run: the deterministic
@@ -78,7 +79,7 @@ func matrixSuite(t *testing.T, tpmCong, tpm9 *core.TPM, record bool) map[string]
 		{InterArrival: 12 * sim.Microsecond, MeanSize: 24 << 10, Count: 600, Seed: 9},
 		{InterArrival: 20 * sim.Microsecond, MeanSize: 36 << 10, Count: 600, Seed: 10},
 	}
-	samples, err := devrun.CollectSamples(ssd.ConfigA(), specs, []int{1, 4}, 0)
+	samples, err := devrun.CollectSamples(ssd.ConfigA(), len(specs), func(i int) (*trace.Trace, error) { return specs[i].Trace() }, []int{1, 4}, 0)
 	if err != nil {
 		t.Fatalf("train-probe: collect: %v", err)
 	}

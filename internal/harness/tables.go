@@ -32,7 +32,7 @@ func TableI(cfg ssd.Config, count int, seed uint64) ([]TableIRow, error) {
 	// and instance-based estimators (KNN) need the continuous coverage.
 	specs := devrun.DefaultGrid(count, seed)
 	specs = append(specs, devrun.RandomSpecs(24, count, seed)...)
-	samples, err := devrun.CollectSamples(cfg, specs,
+	samples, err := devrun.CollectSamples(cfg, len(specs), func(i int) (*trace.Trace, error) { return specs[i].Trace() },
 		[]int{1, 2, 3, 4, 5, 6, 8}, 0)
 	if err != nil {
 		return nil, err
@@ -101,7 +101,8 @@ func TableIII(cfg ssd.Config, count, totalTraces int, seed uint64) ([]TableIIIRo
 		totalTraces = 24
 	}
 	// Micro samples form the training backbone (group 0 = micro).
-	micro, err := devrun.CollectSamples(cfg, devrun.DefaultGrid(count, seed),
+	grid := devrun.DefaultGrid(count, seed)
+	micro, err := devrun.CollectSamples(cfg, len(grid), func(i int) (*trace.Trace, error) { return grid[i].Trace() },
 		[]int{1, 2, 4, 6, 8}, 0)
 	if err != nil {
 		return nil, err
@@ -148,7 +149,7 @@ func TableIII(cfg ssd.Config, count, totalTraces int, seed uint64) ([]TableIIIRo
 		if err != nil {
 			return nil, fmt.Errorf("harness: TableIII trace %d: %w", t, err)
 		}
-		samples, err := devrun.CollectSamplesFromTraces(cfg, []*trace.Trace{tr},
+		samples, err := devrun.CollectSamples(cfg, 1, func(int) (*trace.Trace, error) { return tr, nil },
 			[]int{1, 2, 4, 6, 8}, int(class)+1)
 		if err != nil {
 			return nil, err

@@ -2,10 +2,9 @@ package ml
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"srcsim/internal/sim"
+	"srcsim/internal/sweep/pool"
 )
 
 // RandomForestRegressor is a bagged ensemble of CART trees with random
@@ -35,8 +34,9 @@ type RandomForestRegressor struct {
 func (f *RandomForestRegressor) Name() string { return "Random Forest Regression" }
 
 // Fit implements Regressor. Each tree gets a bootstrap resample of the
-// training set and its own RNG stream; fitting is parallelised across
-// GOMAXPROCS workers while remaining deterministic for a fixed Seed.
+// training set and its own RNG stream; trees are fitted in parallel
+// through pool.Pool while remaining deterministic for a fixed Seed. A
+// failure reports the lowest-index failing tree.
 func (f *RandomForestRegressor) Fit(X [][]float64, y []float64) error {
 	n, d, err := checkXY(X, y)
 	if err != nil {
@@ -52,56 +52,31 @@ func (f *RandomForestRegressor) Fit(X [][]float64, y []float64) error {
 	}
 
 	f.trees = make([]*DecisionTreeRegressor, f.Trees)
-	type job struct{ i int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > f.Trees {
-		workers = f.Trees
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// Per-tree RNG derived only from (Seed, tree index):
-				// parallel scheduling cannot perturb results.
-				rng := sim.NewRNG(f.Seed + uint64(j.i)*0x9e3779b97f4a7c15 + 1)
-				bx := make([][]float64, n)
-				by := make([]float64, n)
-				for k := 0; k < n; k++ {
-					pick := rng.Intn(n)
-					bx[k] = X[pick]
-					by[k] = y[pick]
-				}
-				tree := &DecisionTreeRegressor{
-					MaxDepth:    f.MaxDepth,
-					MinLeaf:     f.MinLeaf,
-					MaxFeatures: maxFeatures,
-					Seed:        rng.Uint64(),
-				}
-				if err := tree.Fit(bx, by); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("ml: tree %d: %w", j.i, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				f.trees[j.i] = tree
-			}
-		}()
-	}
-	for i := 0; i < f.Trees; i++ {
-		jobs <- job{i}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	err = pool.Pool{}.ForEach(f.Trees, func(i int) error {
+		// Per-tree RNG derived only from (Seed, tree index): parallel
+		// scheduling cannot perturb results.
+		rng := sim.NewRNG(f.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1)
+		bx := make([][]float64, n)
+		by := make([]float64, n)
+		for k := 0; k < n; k++ {
+			pick := rng.Intn(n)
+			bx[k] = X[pick]
+			by[k] = y[pick]
+		}
+		tree := &DecisionTreeRegressor{
+			MaxDepth:    f.MaxDepth,
+			MinLeaf:     f.MinLeaf,
+			MaxFeatures: maxFeatures,
+			Seed:        rng.Uint64(),
+		}
+		if err := tree.Fit(bx, by); err != nil {
+			return fmt.Errorf("ml: tree %d: %w", i, err)
+		}
+		f.trees[i] = tree
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	f.fitted = true
 	return nil

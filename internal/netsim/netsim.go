@@ -89,6 +89,16 @@ type RateController interface {
 	SetRateListener(fn func(oldRate, newRate float64))
 }
 
+// Fabric constants: the data-packet payload size mtu, the wire size of
+// CNP, PFC and ack frames, and the per-ingress PFC pause (Xoff) and
+// resume (Xon) thresholds in bytes.
+const (
+	mtu            = 4096
+	ctrlPacketSize = 64
+	pfcXoff        = 128 << 10
+	pfcXon         = 96 << 10
+)
+
 // Config parameterises the fabric.
 type Config struct {
 	// DCQCN carries the congestion-control constants (CP marking, RP/NP
@@ -103,15 +113,6 @@ type Config struct {
 	AIMD   ccaimd.Config
 	HPCC   hpcc.Config
 	PFC    pfconly.Config
-	// MTU is the data-packet payload size in bytes (default 4096).
-	MTU int
-	// PFCXoff and PFCXon are the per-ingress pause thresholds in bytes
-	// (defaults 128 KiB / 96 KiB). EnablePFC defaults to true via
-	// WithDefaults.
-	PFCXoff int64
-	PFCXon  int64
-	// CtrlPacketSize is the wire size of CNP/PFC frames (default 64).
-	CtrlPacketSize int
 	// DisablePFC and DisableECN switch off the respective mechanisms
 	// (for ablations).
 	DisablePFC bool
@@ -130,18 +131,6 @@ type Config struct {
 // WithDefaults fills unset fields.
 func (c Config) WithDefaults() Config {
 	c.DCQCN = c.DCQCN.WithDefaults()
-	if c.MTU <= 0 {
-		c.MTU = 4096
-	}
-	if c.PFCXoff <= 0 {
-		c.PFCXoff = 128 << 10
-	}
-	if c.PFCXon <= 0 {
-		c.PFCXon = 96 << 10
-	}
-	if c.CtrlPacketSize <= 0 {
-		c.CtrlPacketSize = 64
-	}
 	return c
 }
 
@@ -153,9 +142,6 @@ func (c Config) Validate() error {
 	c = c.WithDefaults()
 	if err := c.DCQCN.Validate(); err != nil {
 		return err
-	}
-	if c.PFCXon >= c.PFCXoff {
-		return fmt.Errorf("netsim: PFC Xon %d must be below Xoff %d", c.PFCXon, c.PFCXoff)
 	}
 	sch, ok := LookupCC(c.CC)
 	if !ok {

@@ -387,7 +387,7 @@ func (p *Port) enqueueData(pkt *Packet) {
 		node := p.node
 		in := pkt.ingress.index
 		node.ingressBytes[in] += int64(pkt.Size)
-		if !net.Cfg.DisablePFC && !node.xoffSent[in] && node.ingressBytes[in] > net.Cfg.PFCXoff {
+		if !net.Cfg.DisablePFC && !node.xoffSent[in] && node.ingressBytes[in] > pfcXoff {
 			node.xoffSent[in] = true
 			node.sendPFC(pkt.ingress, PauseFrame)
 		}
@@ -412,7 +412,7 @@ func (node *Node) sendPFC(in *Port, kind Kind) {
 	}
 	pkt := net.allocPkt()
 	pkt.Src, pkt.Dst = node.ID, in.peer.node.ID
-	pkt.Size, pkt.Kind = net.Cfg.CtrlPacketSize, kind
+	pkt.Size, pkt.Kind = ctrlPacketSize, kind
 	in.enqueueCtrl(pkt)
 }
 
@@ -446,8 +446,7 @@ func (p *Port) trySend() {
 			node := p.node
 			in := pkt.ingress.index
 			node.ingressBytes[in] -= int64(pkt.Size)
-			net := p.node.net
-			if node.xoffSent[in] && node.ingressBytes[in] < net.Cfg.PFCXon {
+			if node.xoffSent[in] && node.ingressBytes[in] < pfcXon {
 				node.xoffSent[in] = false
 				node.sendPFC(pkt.ingress, ResumeFrame)
 			}

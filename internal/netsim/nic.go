@@ -222,7 +222,6 @@ func (f *Flow) emit() {
 	at := eng.Now()
 	msg := &f.sendq[f.sendHead]
 	chunk := msg.size - f.headSent
-	mtu := net.Cfg.MTU
 	last := chunk <= mtu
 	if chunk > mtu {
 		chunk = mtu
@@ -309,7 +308,7 @@ func (nic *HostNIC) receive(pkt *Packet) {
 			}
 			cnp := net.allocPkt()
 			cnp.Src, cnp.Dst = nic.node.ID, pkt.Src
-			cnp.FlowID, cnp.Size, cnp.Kind = pkt.FlowID, net.Cfg.CtrlPacketSize, CNP
+			cnp.FlowID, cnp.Size, cnp.Kind = pkt.FlowID, ctrlPacketSize, CNP
 			nic.sendCtrl(cnp, pkt.Src)
 		}
 		if flow != nil && flow.RP.NeedsAck() {
@@ -318,7 +317,7 @@ func (nic *HostNIC) receive(pkt *Packet) {
 			// copied onto the acknowledgement.
 			ack := net.allocPkt()
 			ack.Src, ack.Dst = nic.node.ID, pkt.Src
-			ack.FlowID, ack.Size = pkt.FlowID, net.Cfg.CtrlPacketSize
+			ack.FlowID, ack.Size = pkt.FlowID, ctrlPacketSize
 			ack.Kind, ack.SentAt = Ack, pkt.SentAt
 			if flow.intRP != nil {
 				ack.INT, pkt.INT = pkt.INT, nil

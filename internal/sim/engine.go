@@ -316,26 +316,7 @@ func (e *Engine) dispatchHead() {
 // function. The first tick fires one period from now. fn runs with the
 // engine clock at each tick time.
 func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: ticker period %v must be positive", period))
-	}
-	var ev Handle
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			ev = e.After(period, tick)
-		}
-	}
-	ev = e.After(period, tick)
-	return func() {
-		stopped = true
-		e.Cancel(ev)
-	}
+	return e.every(period, period, fn)
 }
 
 // Sampler invokes fn at the current instant and then every period until
@@ -345,8 +326,14 @@ func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
 // event sequence every time, and the t=0 state is always captured.
 // fn runs with the engine clock at each sample time.
 func (e *Engine) Sampler(period Time, fn func()) (stop func()) {
+	return e.every(0, period, fn)
+}
+
+// every invokes fn first after delay first, then every period, until
+// the returned stop function is called.
+func (e *Engine) every(first, period Time, fn func()) (stop func()) {
 	if period <= 0 {
-		panic(fmt.Sprintf("sim: sampler period %v must be positive", period))
+		panic(fmt.Sprintf("sim: periodic callback period %v must be positive", period))
 	}
 	var ev Handle
 	stopped := false
@@ -360,7 +347,7 @@ func (e *Engine) Sampler(period Time, fn func()) (stop func()) {
 			ev = e.After(period, tick)
 		}
 	}
-	ev = e.Schedule(e.now, tick)
+	ev = e.After(first, tick)
 	return func() {
 		stopped = true
 		e.Cancel(ev)

@@ -1,11 +1,11 @@
 // Package pool is the sweep subsystem's worker pool: it schedules
 // independent indexed jobs across a bounded set of goroutines. Every
 // parallel fan-out in the repo (the Fig. 5 weight sweep, TPM
-// training-sample collection, campaign execution) runs through this one
-// code path, so cancellation and error semantics are uniform: each job
-// stays single-threaded and deterministic — parallelism is only across
-// jobs — and results must be written into index-addressed slots so no
-// ordering leaks into output.
+// training-sample collection, random-forest fitting, campaign
+// execution) runs through this one code path, so cancellation and error
+// semantics are uniform: each job stays single-threaded and
+// deterministic — parallelism is only across jobs — and results must be
+// written into index-addressed slots so no ordering leaks into output.
 package pool
 
 import (
